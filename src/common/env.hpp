@@ -27,11 +27,9 @@ inline constexpr std::string_view kKnown[] = {
     "TMK_TRANSPORT",         // mpl: socket|shm|inproc
     "TMK_BACKEND",           // runner: process|thread
     "TMK_FABRIC_BURST",      // mpl: 0 disables per-peer send bursts
-    "TMK_BARRIER_ARITY",     // tmk: barrier fan-in arity (default flat)
     "TMK_CPU_SCALE",         // sim: compute scaling factor (> 0)
     "TMK_FULL_SIZES",        // bench: run paper-size problem presets
     "TMK_UPDATE_MODE",       // tmk: off|hybrid barrier-time diff pushing
-    "TMK_PUSH_CREDITS",      // tmk: pushes granted per observed request
     "TMK_RACECHECK",         // tmk: off|summary|precise race detection
     "TMK_RACECHECK_THROW",   // tmk: throw on the first detected race
     "TMK_RACECHECK_MAX_REPORTS",  // tmk: stored RaceReport cap (0 = none)

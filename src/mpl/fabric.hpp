@@ -132,8 +132,9 @@ class Endpoint {
   // ---- per-peer send bursts (main thread) ----
   //
   // A multi-frame operation toward one peer — a barrier arrival carrying
-  // write notices, the departs of a tree barrier, a lock grant with
-  // piggybacked intervals — can be handed to the transport as ONE unit:
+  // write notices, a barrier depart with its pushed diffs, a lock grant
+  // with piggybacked intervals — can be handed to the transport as ONE
+  // unit:
   //
   //   ep.begin_burst(dst);
   //   ep.send_app(...); ep.send_svc(...);   // frames are batched

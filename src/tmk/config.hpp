@@ -93,14 +93,12 @@ enum class RaceCheckMode : std::uint8_t {
 /// Config equals an empty environment.
 struct Config {
   UpdateMode update_mode = UpdateMode::kOff;
-  /// Adaptive-predictor credit budget (TMK_PUSH_CREDITS).
-  int push_credits = 16;
-  /// Barrier fan-in arity (TMK_BARRIER_ARITY). 0 keeps the paper's
-  /// centralized manager (§2.2). Any k >= 1 arranges the ranks as a
-  /// k-ary heap-indexed tree rooted at 0: still exactly 2(n-1) barrier
-  /// messages, but the root waits on at most k children. Values >=
-  /// nprocs-1 are the flat shape, byte for byte.
-  int barrier_arity = 0;
+  /// Adaptive-predictor credit budget: consecutive barriers a learned
+  /// consumer stays in a page's push set without a confirming request.
+  static constexpr int push_credits = 16;
+  /// The barrier is always the paper's centralized manager at rank 0
+  /// (§2.2); 0 names that flat shape in reports.
+  static constexpr int barrier_arity = 0;
   RaceCheckMode racecheck = RaceCheckMode::kOff;
   /// TMK_RACECHECK_THROW: when set, the first TMK_RACE_REPORT also
   /// throws common::Error once the integration that found it returns.
@@ -136,10 +134,6 @@ struct Config {
         env::detail::warn_value("TMK_UPDATE_MODE", v,
                                 "expected off|hybrid");
     }
-    if (const auto n = env::int_knob("TMK_PUSH_CREDITS"); n.has_value())
-      c.push_credits = static_cast<int>(*n);
-    if (const auto n = env::int_knob("TMK_BARRIER_ARITY"); n.has_value())
-      c.barrier_arity = static_cast<int>(*n);
     if (const char* v = env::raw("TMK_RACECHECK"); v != nullptr && *v != '\0') {
       if (const auto m = parse_racecheck(v); m.has_value())
         c.racecheck = *m;

@@ -12,6 +12,7 @@
 // credits to the MP programs, which DSM achieves only at lock grants.
 #include "tmk/runtime.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -117,7 +118,7 @@ void Runtime::send_lock_grant(int lock_id, ProcId requester,
         for (PageIndex page : own.at(s)->pages) {
           PageExt& px = ext(page);
           px.adaptive_consumers.set(requester);
-          px.push_budget = push_credits_;
+          px.push_budget = Config::push_credits;
         }
       }
     }

@@ -190,22 +190,18 @@ Runtime::Runtime(runner::ChildContext& ctx)
   // Knobs come from cfg_, the run's snapshot (resolved once at spawn —
   // env parsing and warn-once validation live in tmk/config.hpp). Only
   // the values that need normalizing are derived here.
-  push_credits_ =
-      static_cast<std::uint8_t>(std::clamp(cfg_.push_credits, 1, 255));
   if (pushing()) push_counts_.assign(static_cast<std::size_t>(nprocs_), 0);
   gc_interval_ = cfg_.epoch_gc_interval > 0
                      ? static_cast<std::uint32_t>(cfg_.epoch_gc_interval)
                      : 64;
   report_ctx_ = &ctx;
-
-  // Barrier fan-in shape: flat (the paper's centralized manager) unless
-  // an arity is requested; any arity >= nprocs-1 is normalized to flat.
-  const int arity = cfg_.barrier_arity;
-  const int flat = std::max(1, nprocs_ - 1);
-  barrier_arity_ = (arity <= 0 || arity >= flat) ? flat : arity;
-  barrier_child_vc_.resize(
-      static_cast<std::size_t>(barrier_num_children()));
-  barrier_contrib_.assign(static_cast<std::size_t>(nprocs_), {0, 0});
+  if (rank_ == 0) {
+    // The barrier manager's per-worker state, indexed by rank - 1.
+    const auto workers = static_cast<std::size_t>(nprocs_ - 1);
+    barrier_child_vc_.resize(workers);
+    push_counts_child_rx_.resize(workers);
+    push_counts_sent_down_.resize(workers);
+  }
 
   install_sigsegv_handler();
   host_fault_cost_ns_ = measure_host_fault_cost_ns();
@@ -480,7 +476,6 @@ void Runtime::close_interval() {
   intervals_[static_cast<std::size_t>(rank_)].live.push_back(std::move(meta));
   ++records_created_;
   dirty_pages_.clear();
-  stats_.intervals_created.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Runtime::flush_page_diff(PageIndex page) {
@@ -677,11 +672,8 @@ void Runtime::serialize_own_intervals_after(ByteWriter& w,
     put_interval_record(w, *own.at(s));
 }
 
-std::uint32_t Runtime::read_intervals(ByteReader& r, bool note_contrib) {
-  // Caller holds mu_. With note_contrib (the barrier fan-in), each
-  // creator's reported (lo, hi] seq range is recorded in
-  // barrier_contrib_ so the fan-in can forward the subtree's
-  // contribution to its parent.
+void Runtime::read_intervals(ByteReader& r) {
+  // Caller holds mu_.
   const auto count = r.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {
     const auto creator = r.get<ProcId>();
@@ -699,19 +691,9 @@ std::uint32_t Runtime::read_intervals(ByteReader& r, bool note_contrib) {
         for (std::uint64_t& word : write_masks[k].v)
           word = r.get<std::uint64_t>();
     }
-    if (note_contrib) {
-      COMMON_CHECK_MSG(creator != rank_,
-                       "barrier fan-in reported this rank's own interval");
-      auto& c = barrier_contrib_[creator];
-      if (c.first == c.second)
-        c = {seq - 1, seq};  // per-creator records arrive ascending
-      else
-        c.second = std::max(c.second, seq);
-    }
     integrate_interval(creator, seq, vc, std::move(pages),
                        std::move(write_masks));
   }
-  return count;
 }
 
 // ---------------------------------------------------------------------
@@ -1197,43 +1179,14 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
 }
 
 // ---------------------------------------------------------------------
-// Barrier (§2.2: centralized manager, 2(n-1) messages). The fan-in runs
-// over a k-ary heap-indexed tree rooted at rank 0 (barrier_arity_); the
-// default arity nprocs-1 makes every rank a direct child of the root,
-// which IS the paper's flat centralized manager, byte-for-byte. Any
-// arity still costs exactly one arrive plus one depart per tree edge —
-// the modelled 2(n-1) barrier messages are arity-invariant — but a
-// small arity bounds each node's sequential fan-in at k, which is what
-// keeps the host-side critical path O(k log_k n) at 128 ranks.
-//
-// Up the tree, each node reports its subtree's new intervals (its own
-// past the floor its parent knows, plus the ranges its children
-// reported this round — every creator lives in exactly one subtree, so
-// ranges never collide). Down the tree, each node — complete knowledge
-// in hand after its parent's depart — sends every child exactly the
-// intervals that child's subtree lacked at arrival, the same tailoring
-// the flat manager performs.
+// Barrier (§2.2: centralized manager at rank 0, 2(n-1) messages). Each
+// worker sends one arrival carrying its vector clock and its own new
+// intervals, then waits for one depart. The manager reads the n-1
+// arrivals and sends each worker exactly the intervals it lacked at
+// arrival. Two extensions ride the same messages: the hybrid update
+// protocol's kDiffPush frame counts, and on GC rounds the epoch GC's
+// global horizon, which only the departs carry.
 // ---------------------------------------------------------------------
-
-void Runtime::serialize_barrier_contrib(ByteWriter& w) const {
-  // Caller holds mu_. Emits, per creator in ascending order, the
-  // intervals recorded in barrier_contrib_ — the subtree's news. For a
-  // leaf this degenerates to serialize_own_intervals_after, byte for
-  // byte, which is what keeps the flat (all-leaves) shape identical to
-  // the original centralized-manager wire format.
-  std::uint32_t count = 0;
-  for (int p = 0; p < nprocs_; ++p) {
-    const auto& c = barrier_contrib_[static_cast<std::size_t>(p)];
-    count += c.second - c.first;
-  }
-  w.put<std::uint32_t>(count);
-  for (int p = 0; p < nprocs_; ++p) {
-    const auto [lo, hi] = barrier_contrib_[static_cast<std::size_t>(p)];
-    const auto& known = intervals_[static_cast<std::size_t>(p)];
-    for (Seq s = lo + 1; s <= hi; ++s)
-      put_interval_record(w, *known.at(s));
-  }
-}
 
 void Runtime::barrier() {
   simx::ProtocolSection protocol(ep_.clock());
@@ -1259,17 +1212,14 @@ void Runtime::barrier() {
     return;
   }
 
-  const int nchildren = barrier_num_children();
-  const int first_child = barrier_first_child();
-  // Epoch-GC piggyback: only GC rounds extend the barrier wire (the
-  // subtree's element-wise minimum clock up, the global horizon down),
-  // so the other barriers — and every barrier of a TMK_EPOCH_GC=off run
-  // — stay byte-identical to the pre-GC protocol. The round predicate
-  // depends only on barrier_seq_ and config, so every rank agrees on
-  // the wire shape without negotiation.
+  // Epoch-GC piggyback: only GC rounds extend the departs with the
+  // global horizon (the element-wise minimum of every rank's clock at
+  // arrival), so the other barriers — and every barrier of a
+  // TMK_EPOCH_GC=off run — stay byte-identical to the pre-GC protocol.
+  // The round predicate depends only on barrier_seq_ and config, so
+  // every rank agrees on the wire shape without negotiation.
   const bool gc_round = gc_round_now();
-  VectorClock gc_min;      // element-wise min over the subtree's clocks
-  VectorClock gc_horizon;  // global min, distributed by the root
+  VectorClock gc_horizon;
   const auto fold_min = [this](VectorClock& into, const VectorClock& other) {
     for (int p = 0; p < nprocs_; ++p) {
       const auto pid = static_cast<ProcId>(p);
@@ -1277,10 +1227,6 @@ void Runtime::barrier() {
     }
   };
   if (pushing()) {
-    // Per-child-link caches for the count-table sentinel (empty = no
-    // history yet; the first barrier always ships the full table).
-    push_counts_child_rx_.resize(static_cast<std::size_t>(nchildren));
-    push_counts_sent_down_.resize(static_cast<std::size_t>(nchildren));
     std::lock_guard<std::mutex> g(mu_);
     build_push_plan();
   }
@@ -1289,85 +1235,62 @@ void Runtime::barrier() {
   std::snprintf(site, sizeof(site), "barrier %u fan-in", barrier_seq_);
   ep_.set_wait_site(site);
 
-  // ---- fan-in: own news, then every child subtree's ----
-  for (auto& c : barrier_contrib_) c = {0, 0};
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    // Report own intervals from the floor the PARENT is guaranteed to
-    // know. The flat parent is rank 0, which join_worker also reports
-    // to, so the shared watermark applies (and keeps the paper shape's
-    // wire bytes identical to the original centralized manager); a
-    // non-root tree parent only ever learns this rank's intervals
-    // through barriers, so fork/join progress must not advance its
-    // floor — reporting from sent_to_master_seq_ there would open an
-    // interval gap at the parent and abort the run.
-    const Seq floor_seq =
-        barrier_parent() == 0 ? sent_to_master_seq_ : barrier_sent_seq_;
-    barrier_contrib_[static_cast<std::size_t>(rank_)] = {
-        floor_seq, vc_.get(static_cast<ProcId>(rank_))};
-    // This rank's contribution to the horizon is its pre-fan-in clock
-    // (children's integrated news must not inflate the minimum).
-    if (gc_round) gc_min = vc_;
-  }
-  for (int i = 0; i < nchildren; ++i) {
-    mpl::Frame f = ep_.wait_app_kind(mpl::FrameKind::kBarrierArrive);
-    COMMON_CHECK_MSG(f.src >= first_child && f.src < first_child + nchildren,
-                     "barrier arrive from non-child rank " << f.src);
-    ByteReader r(f.payload);
-    const auto seq = r.get<std::uint32_t>();
-    COMMON_CHECK_MSG(seq == barrier_seq_, "barrier sequence mismatch");
-    VectorClock their = r.get_vc(nprocs_);
-    std::lock_guard<std::mutex> g(mu_);
-    read_intervals(r, /*note_contrib=*/true);
-    barrier_child_vc_[static_cast<std::size_t>(f.src - first_child)] = their;
-    // Child subtrees report how many kDiffPush frames they will send to
-    // each destination; fold them into this subtree's totals.
-    if (pushing())
-      read_push_counts(
-          r, /*accumulate=*/true,
-          push_counts_child_rx_[static_cast<std::size_t>(f.src - first_child)]);
-    if (gc_round) fold_min(gc_min, r.get_vc(nprocs_));
-    // Deliberately NO vc_.merge(their): a child's vc can claim intervals
-    // it learned about through a lock chain whose creators live OUTSIDE
-    // this subtree — claims this node does not possess as interval
-    // metadata. Merging them would make this node's own arrive vc
-    // overclaim, its parent's depart would then skip those intervals,
-    // and a later serialization bounded by vc_ would index interval
-    // records that were never received. vc_ grows only through
-    // integrate_interval, so it always equals what intervals_ actually
-    // holds; every claim a child can make is covered by its creator's
-    // own report arriving at the root through the creator's own path.
-    ep_.recycle_buffer(std::move(f.payload));
-  }
-
-  if (rank_ != 0) {
-    // ---- report the subtree upward, wait for the global depart ----
+  if (rank_ == 0) {
+    // ---- manager: n-1 arrivals ----
+    if (gc_round) {
+      // The manager's own share of the horizon is its pre-fan-in clock
+      // (the workers' integrated news must not inflate the minimum).
+      std::lock_guard<std::mutex> g(mu_);
+      gc_horizon = vc_;
+    }
+    for (int i = 1; i < nprocs_; ++i) {
+      mpl::Frame f = ep_.wait_app_kind(mpl::FrameKind::kBarrierArrive);
+      COMMON_CHECK_MSG(f.src > 0 && f.src < nprocs_,
+                       "barrier arrive from rank " << f.src);
+      const auto worker = static_cast<std::size_t>(f.src - 1);
+      ByteReader r(f.payload);
+      const auto seq = r.get<std::uint32_t>();
+      COMMON_CHECK_MSG(seq == barrier_seq_, "barrier sequence mismatch");
+      VectorClock their = r.get_vc(nprocs_);
+      std::lock_guard<std::mutex> g(mu_);
+      read_intervals(r);
+      // Each worker reports how many kDiffPush frames it will send to
+      // each destination; sum them into the run-wide totals.
+      if (pushing())
+        read_push_counts(r, /*accumulate=*/true, push_counts_child_rx_[worker]);
+      if (gc_round) fold_min(gc_horizon, their);
+      // Deliberately NO vc_.merge(their): a worker's vc can claim
+      // intervals it learned about through a lock chain — claims whose
+      // creators may not have arrived yet. Merging them would let a
+      // concurrent lock grant, serialized bounded by vc_, index interval
+      // records never received. vc_ grows only through
+      // integrate_interval, so it always equals what intervals_
+      // actually holds; every claim is covered by its creator's own
+      // arrival before the fan-in ends.
+      barrier_child_vc_[worker] = std::move(their);
+      ep_.recycle_buffer(std::move(f.payload));
+    }
+  } else {
+    // ---- worker: one arrival, one depart ----
     ByteWriter w;
     w.put<std::uint32_t>(barrier_seq_);
     {
       std::lock_guard<std::mutex> g(mu_);
       w.put_vc(vc_, nprocs_);
-      serialize_barrier_contrib(w);
-      if (pushing())  // upward: the whole subtree's totals
-        append_push_counts(w, /*subtree_root=*/-1, push_counts_sent_up_);
-      if (gc_round) w.put_vc(gc_min, nprocs_);
-      // By the time this barrier completes, the contribution has
-      // reached rank 0 through the tree — so the join watermark may
-      // advance too, whatever the arity.
-      barrier_sent_seq_ = vc_.get(static_cast<ProcId>(rank_));
-      sent_to_master_seq_ = barrier_sent_seq_;
+      serialize_own_intervals_after(w, sent_to_master_seq_);
+      sent_to_master_seq_ = vc_.get(static_cast<ProcId>(rank_));
+      if (pushing())  // arrival: every destination's count
+        append_push_counts(w, /*only_dst=*/-1, push_counts_sent_up_);
     }
-    const int parent = barrier_parent();
     // The arrival (vc + interval metadata, possibly several chunks) goes
-    // to the parent as one burst; the wait below flushes it.
-    ep_.begin_burst(parent);
-    ep_.send_app(parent, mpl::FrameKind::kBarrierArrive, 0, 0, w.bytes());
+    // to the manager as one burst; the wait below flushes it.
+    ep_.begin_burst(0);
+    ep_.send_app(0, mpl::FrameKind::kBarrierArrive, 0, 0, w.bytes());
 
-    std::snprintf(site, sizeof(site), "barrier %u depart (parent %d)",
-                  barrier_seq_, parent);
+    std::snprintf(site, sizeof(site), "barrier %u depart (manager 0)",
+                  barrier_seq_);
     ep_.set_wait_site(site);
-    mpl::Frame f =
-        ep_.wait_app_kind_from(mpl::FrameKind::kBarrierDepart, parent);
+    mpl::Frame f = ep_.wait_app_kind_from(mpl::FrameKind::kBarrierDepart, 0);
     ByteReader r(f.payload);
     const auto seq = r.get<std::uint32_t>();
     COMMON_CHECK_MSG(seq == barrier_seq_, "barrier sequence mismatch");
@@ -1376,47 +1299,39 @@ void Runtime::barrier() {
       std::lock_guard<std::mutex> g(mu_);
       read_intervals(r);
       vc_.merge(merged);
-      // The depart carries the run-wide push totals; replace the
-      // subtree view — every rank ends with the same global vector.
+      // The depart carries this rank's run-wide push total.
       if (pushing())
         read_push_counts(r, /*accumulate=*/false, push_counts_rx_down_);
       if (gc_round) gc_horizon = r.get_vc(nprocs_);
     }
     ep_.recycle_buffer(std::move(f.payload));
-  } else if (gc_round) {
-    // Root: the fold over every subtree IS the global horizon.
-    gc_horizon = gc_min;
   }
 
   // Flatten the planned diff chains and assemble one kDiffPush payload
-  // per predicted consumer, before the departs go out: a child that is
+  // per predicted consumer, before the departs go out: a worker that is
   // also a consumer gets its depart AND its pushed diffs as one burst.
   if (pushing()) prepare_push_frames();
 
-  // ---- departs: tailored to what each child's subtree lacked ----
-  for (int i = 0; i < nchildren; ++i) {
-    ByteWriter w;
-    w.put<std::uint32_t>(barrier_seq_);
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      w.put_vc(vc_, nprocs_);
-      serialize_intervals_lacking(
-          w, barrier_child_vc_[static_cast<std::size_t>(i)]);
-      // Downward: only the slice of the totals this child's subtree
-      // will consume.
-      if (pushing())
-        append_push_counts(w, first_child + i,
-                           push_counts_sent_down_[static_cast<std::size_t>(i)]);
-      if (gc_round) w.put_vc(gc_horizon, nprocs_);
-    }
-    // Per-destination burst: each child's depart (notices included) is
-    // one transport publish however many chunks it spans.
-    ep_.begin_burst(first_child + i);
-    ep_.send_app(first_child + i, mpl::FrameKind::kBarrierDepart, 0, 0,
-                 w.bytes());
-    if (pushing()) {
+  if (rank_ == 0) {
+    // ---- manager: departs, tailored to what each worker lacked ----
+    for (int dst = 1; dst < nprocs_; ++dst) {
+      const auto worker = static_cast<std::size_t>(dst - 1);
+      ByteWriter w;
+      w.put<std::uint32_t>(barrier_seq_);
+      {
+        std::lock_guard<std::mutex> g(mu_);
+        w.put_vc(vc_, nprocs_);
+        serialize_intervals_lacking(w, barrier_child_vc_[worker]);
+        if (pushing())  // depart: only the frames this worker receives
+          append_push_counts(w, dst, push_counts_sent_down_[worker]);
+        if (gc_round) w.put_vc(gc_horizon, nprocs_);
+      }
+      // Per-destination burst: each worker's depart (notices included)
+      // is one transport publish however many chunks it spans.
+      ep_.begin_burst(dst);
+      ep_.send_app(dst, mpl::FrameKind::kBarrierDepart, 0, 0, w.bytes());
       for (auto& pf : push_frames_) {
-        if (pf.first != first_child + i) continue;
+        if (pf.first != dst) continue;
         ep_.send_app(pf.first, mpl::FrameKind::kDiffPush, 0, 0, pf.second);
         pf.first = -1;  // consumed by the depart burst
       }
@@ -1424,8 +1339,8 @@ void Runtime::barrier() {
   }
   ep_.flush_burst();
   if (pushing()) {
-    // Pushes to non-child consumers follow, one burst per peer; then
-    // collect exactly the frames the depart's totals promised us.
+    // Pushes not already sent with a depart follow, one burst per peer;
+    // then collect exactly the frames the totals promised us.
     for (auto& pf : push_frames_) {
       if (pf.first < 0) continue;
       ep_.begin_burst(pf.first);
@@ -1692,8 +1607,9 @@ void Runtime::build_push_plan() {
     e.dsts.merge(px.hint_consumers);
     if (px.adaptive_consumers.any()) {
       // Credit-bounded: a consumer that stopped requesting stops
-      // costing bandwidth after push_credits_ pushed rounds; its next
-      // request re-arms the bit (and the budget) in serve_diff_request.
+      // costing bandwidth after Config::push_credits pushed rounds; its
+      // next request re-arms the bit (and the budget) in
+      // serve_diff_request.
       e.dsts.merge(px.adaptive_consumers);
       if (--px.push_budget == 0) px.adaptive_consumers.reset();
     }
@@ -1711,26 +1627,24 @@ void Runtime::build_push_plan() {
     if (planned.test(d)) ++push_counts_[static_cast<std::size_t>(d)];
 }
 
-void Runtime::append_push_counts(ByteWriter& w, int subtree_root,
+void Runtime::append_push_counts(ByteWriter& w, int only_dst,
                                  std::vector<std::uint16_t>& last_sent) const {
   // Caller holds mu_. Sparse (dst, frames) pairs — almost every entry is
   // zero for halo patterns — packed as u8/u8: a dst fits kPackCreatorBits
-  // and a count is at most one frame per sender. Arrives carry every
-  // nonzero dst upward (subtree_root < 0); a depart carries only the
-  // dsts inside the receiving child's subtree, since that is all the
-  // child and its descendants can consume — broadcasting the full table
-  // down the tree costs O(n^2) entries per barrier and showed up as a
-  // measurable share of hybrid-mode bytes at 32+ ranks. On top of that,
-  // steady-state access patterns repeat the identical table barrier
-  // after barrier, so each tree link remembers what it last carried and
-  // an unchanged table collapses to the 1-byte sentinel 0xff (a real
-  // entry count never exceeds nprocs <= 128).
+  // and a count is at most one frame per sender. An arrival carries
+  // every nonzero dst (only_dst < 0); a depart carries only the
+  // receiving worker's own entry, since that is all it can consume —
+  // sending every worker the full table costs O(n^2) entries per
+  // barrier and showed up as a measurable share of hybrid-mode bytes at
+  // 32+ ranks. On top of that, steady-state access patterns repeat the
+  // identical table barrier after barrier, so each link remembers what
+  // it last carried and an unchanged table collapses to the 1-byte
+  // sentinel 0xff (a real entry count never exceeds nprocs <= 128).
   std::vector<std::uint16_t> cur(static_cast<std::size_t>(nprocs_), 0);
   std::uint8_t n = 0;
   for (int d = 0; d < nprocs_; ++d) {
     const std::uint16_t c = push_counts_[static_cast<std::size_t>(d)];
-    if (c == 0 || !(subtree_root < 0 || in_barrier_subtree(d, subtree_root)))
-      continue;
+    if (c == 0 || (only_dst >= 0 && d != only_dst)) continue;
     cur[static_cast<std::size_t>(d)] = c;
     ++n;
   }
@@ -1751,9 +1665,9 @@ void Runtime::append_push_counts(ByteWriter& w, int subtree_root,
 
 void Runtime::read_push_counts(ByteReader& r, bool accumulate,
                                std::vector<std::uint16_t>& last_rx) {
-  // Caller holds mu_. accumulate=true folds a child subtree's totals in
-  // (fan-in); false replaces with the totals for our own subtree (the
-  // depart is pre-filtered by the parent). The sentinel 0xff means
+  // Caller holds mu_. accumulate=true folds a worker's counts into the
+  // totals (manager fan-in); false replaces them with the depart's entry
+  // for this rank (pre-filtered by the manager). The sentinel 0xff means
   // "same table as this link carried last barrier".
   const auto n = r.get<std::uint8_t>();
   if (n == 0xff) {
@@ -1820,8 +1734,6 @@ void Runtime::prepare_push_frames() {
         auto out = std::make_shared<std::vector<std::byte>>();
         diff_merger_.encode_into(*out);
         e.blob = std::move(out);
-        stats_.diffs_flattened.fetch_add(chain.size(),
-                                         std::memory_order_relaxed);
       }
     }
   }
@@ -2109,7 +2021,6 @@ void Runtime::validate(const void* base, std::size_t len) {
 
 void Runtime::validate_ranges(std::span<const Range> ranges) {
   simx::ProtocolSection protocol(ep_.clock());
-  stats_.validates.fetch_add(1, std::memory_order_relaxed);
   std::vector<PageIndex> want;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -2136,7 +2047,6 @@ void Runtime::validate_ranges(std::span<const Range> ranges) {
 
 void Runtime::push(int dst, const void* base, std::size_t len) {
   simx::ProtocolSection protocol(ep_.clock());
-  stats_.pushes.fetch_add(1, std::memory_order_relaxed);
   const auto off = static_cast<std::size_t>(static_cast<const std::byte*>(base) -
                                             static_cast<std::byte*>(heap_));
   COMMON_CHECK_MSG((off & common::kPageMask) == 0 &&

@@ -31,7 +31,6 @@
 
 #include <pthread.h>
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -79,18 +78,13 @@ struct TmkStats {
   std::atomic<std::uint64_t> diff_replies{0};
   // Hybrid update protocol: page-diffs pushed at barriers, pushed
   // page-diffs the receiver applied (each one is a kDiffRequest/
-  // kDiffReply round trip that never happened), pushed page-diffs the
-  // receiver discarded (mispredicted or insufficient coverage), and
-  // multi-flush diff chains flattened into one coalesced diff.
+  // kDiffReply round trip that never happened), and pushed page-diffs
+  // the receiver discarded (mispredicted or insufficient coverage).
   std::atomic<std::uint64_t> diff_push{0};
   std::atomic<std::uint64_t> push_hits{0};
   std::atomic<std::uint64_t> push_waste{0};
-  std::atomic<std::uint64_t> diffs_flattened{0};
-  std::atomic<std::uint64_t> intervals_created{0};
   std::atomic<std::uint64_t> barriers{0};
   std::atomic<std::uint64_t> lock_acquires{0};
-  std::atomic<std::uint64_t> pushes{0};
-  std::atomic<std::uint64_t> validates{0};
 };
 
 class Runtime {
@@ -309,7 +303,8 @@ class Runtime {
     // bits expire when push_budget runs out; a fresh request re-arms it.
     ProcMask hint_consumers;
     ProcMask adaptive_consumers;
-    std::uint8_t push_budget = 0;
+    std::uint8_t push_budget = 0;  // re-armed to Config::push_credits
+    static_assert(Config::push_credits >= 1 && Config::push_credits <= 0xff);
     // Own-interval push watermarks: the highest own seq that dirtied
     // this page, and the highest own seq already offered to consumers.
     Seq own_last_seq = 0;
@@ -354,8 +349,7 @@ class Runtime {
                                    const VectorClock& their_vc) const;
   void put_interval_record(ByteWriter& w, const IntervalMeta& m) const;
   void serialize_own_intervals_after(ByteWriter& w, Seq after_seq) const;
-  std::uint32_t read_intervals(ByteReader& r, bool note_contrib = false);
-  void serialize_barrier_contrib(ByteWriter& w) const;
+  void read_intervals(ByteReader& r);
 
   // -- hybrid update protocol (barrier-time diff push; mode != off) --
   [[nodiscard]] bool pushing() const noexcept {
@@ -364,15 +358,14 @@ class Runtime {
   // Plan which pages go to which predicted consumers (caller holds mu_;
   // called right after close_interval at barrier entry).
   void build_push_plan();
-  // Sparse per-destination frame counts appended to barrier arrives
-  // (subtree totals, aggregated up the tree) and departs (global
-  // totals, distributed down) — how the receiver knows exactly how
-  // many kDiffPush frames to expect, deterministically.
-  // subtree_root < 0 appends every nonzero dst (arrive, upward);
-  // otherwise only dsts inside that barrier subtree (depart, downward).
-  // last_sent/last_rx are that tree link's table cache: an unchanged
-  // table ships as a 1-byte sentinel.
-  void append_push_counts(ByteWriter& w, int subtree_root,
+  // Sparse per-destination frame counts appended to barrier arrivals
+  // (the worker's own counts, summed by the manager) and departs (the
+  // receiver's global total) — how the receiver knows exactly how many
+  // kDiffPush frames to expect, deterministically. only_dst < 0
+  // appends every nonzero dst (arrival); otherwise only that dst's
+  // entry (depart). last_sent/last_rx are that barrier link's table
+  // cache: an unchanged table ships as a 1-byte sentinel.
+  void append_push_counts(ByteWriter& w, int only_dst,
                           std::vector<std::uint16_t>& last_sent) const;
   void read_push_counts(ByteReader& r, bool accumulate,
                         std::vector<std::uint16_t>& last_rx);
@@ -384,22 +377,6 @@ class Runtime {
   // and discards the rest as push_waste.
   void collect_pushes(std::uint32_t expected);
 
-  // -- barrier tree topology (heap-indexed k-ary tree rooted at 0) --
-  [[nodiscard]] int barrier_parent() const noexcept {
-    return (rank_ - 1) / barrier_arity_;
-  }
-  [[nodiscard]] int barrier_first_child() const noexcept {
-    return barrier_arity_ * rank_ + 1;
-  }
-  [[nodiscard]] bool in_barrier_subtree(int node, int root) const noexcept {
-    while (node > root) node = (node - 1) / barrier_arity_;
-    return node == root;
-  }
-  [[nodiscard]] int barrier_num_children() const noexcept {
-    const int first = barrier_first_child();
-    if (first >= nprocs_) return 0;
-    return std::min(barrier_arity_, nprocs_ - first);
-  }
   // `learn=false` marks the requests as epoch-GC validation traffic
   // (kDiffRequest tag 1): the server answers identically but does NOT
   // feed its adaptive push predictor — a forced fetch proves nothing
@@ -600,10 +577,10 @@ class Runtime {
   std::uint64_t race_reports_dropped_ = 0;
 
   // -- epoch GC (TMK_EPOCH_GC; default on) --
-  // Every `gc_interval_`-th barrier is a GC round: arrives additionally
-  // carry the subtree's element-wise minimum vector clock, the root
-  // folds them into the global horizon H, and departs carry H back
-  // down. Reclamation then runs one round behind: at round
+  // Every `gc_interval_`-th barrier is a GC round: the manager folds
+  // its own clock and every arrival's clock into the element-wise
+  // minimum, the global horizon H, and the departs additionally carry H
+  // to the workers. Reclamation then runs one round behind: at round
   // G each rank first frees everything at or below the snapshot taken
   // at round G-1 (safe: every rank passed barrier G-1 with that state
   // integrated, and the round-G validation below guaranteed no pending
@@ -617,8 +594,7 @@ class Runtime {
   VectorClock gc_ready_horizon_;
   bool gc_have_snapshot_ = false;
   // Accounting for the invariant records_created == records_reclaimed +
-  // live records (own closes AND integrated remotes, unlike
-  // stats_.intervals_created which counts own closes only).
+  // live records (own closes and integrated remotes alike).
   std::uint64_t records_created_ = 0;
   std::uint64_t records_reclaimed_ = 0;
   // Peak protocol footprint observed at GC rounds (flushed as the
@@ -642,7 +618,6 @@ class Runtime {
   void trim_pools_locked();
 
   // -- hybrid update protocol state (mode != off only) --
-  std::uint8_t push_credits_ = 16;  // Config::push_credits, in [1, 255]
   struct PushPlanEntry {
     PageIndex page;
     Seq lo = 0;  // push covers own seqs in (lo, hi] for this page
@@ -655,9 +630,10 @@ class Runtime {
   // close_interval, drained by build_push_plan).
   std::vector<PageIndex> push_candidates_;
   std::vector<std::uint16_t> push_counts_;  // per-dst kDiffPush frames
-  // Count-table caches, one per barrier-tree link (empty = no history):
-  // what we last sent to the parent / each child, and what we last
-  // received from each child / the parent.
+  // Count-table caches, one per barrier link (empty = no history yet;
+  // the first barrier always ships the full table): a worker's last
+  // table sent to / received from the manager, and the manager's last
+  // table received from / sent to each worker (indexed by rank - 1).
   std::vector<std::uint16_t> push_counts_sent_up_;
   std::vector<std::uint16_t> push_counts_rx_down_;
   std::vector<std::vector<std::uint16_t>> push_counts_sent_down_;
@@ -684,23 +660,13 @@ class Runtime {
 
   // Improved-interface bookkeeping (master side).
   std::vector<VectorClock> worker_vc_;
-  Seq sent_to_master_seq_ = 0;  // my own intervals already sent to proc 0
-  // My own seq as of the last barrier arrive: everything up to it
-  // reached my tree parent through that barrier. Distinct from
-  // sent_to_master_seq_, which join_worker also advances — a join
-  // reports straight to rank 0 and teaches a non-root parent nothing,
-  // so a non-flat barrier must report from this floor instead.
-  Seq barrier_sent_seq_ = 0;
+  // My own intervals already sent to proc 0, by a barrier arrival or a
+  // join: the floor both report from.
+  Seq sent_to_master_seq_ = 0;
   std::uint32_t barrier_seq_ = 0;
-  // Effective barrier fan-in arity (>= 1); nprocs-1 is the flat
-  // centralized-manager shape. Resolved once at construction from
-  // Config::barrier_arity (TMK_BARRIER_ARITY).
-  int barrier_arity_ = 1;
-  // Barrier fan-in scratch (main thread only), sized once: arrived
-  // subtree vcs per direct child, and per-creator (lo, hi] interval
-  // ranges this node forwards to its parent.
+  // Manager only: each worker's arrival clock this barrier (indexed by
+  // rank - 1), which its depart is tailored to.
   std::vector<VectorClock> barrier_child_vc_;
-  std::vector<std::pair<Seq, Seq>> barrier_contrib_;
   std::uint32_t fork_seq_ = 0;
   std::uint32_t next_req_id_ = 1;
   // Manager-side record of the last process to request each lock.

@@ -74,7 +74,7 @@ void Runtime::serve_diff_request(const mpl::Frame& f) {
         // credit budget — a request proves the prediction is live.
         PageExt& px = ext(page);
         px.adaptive_consumers.set(f.src);
-        px.push_budget = push_credits_;
+        px.push_budget = Config::push_credits;
       }
       const auto key = (static_cast<std::uint64_t>(page) << 32) | seq;
       const DiffRec* rec = nullptr;

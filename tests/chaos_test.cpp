@@ -150,7 +150,7 @@ TEST(Chaos, DeathMidBarrierInprocThread) {
 // ---- death with the hybrid update protocol active --------------------
 
 // Under TMK_UPDATE_MODE=hybrid every barrier departure carries staged
-// diff pushes and the barrier tree piggybacks push-count tables; a rank
+// diff pushes and the barrier messages piggyback push-count tables; a rank
 // dying mid-protocol leaves consumers holding stashed pushes and
 // expecting counts that will never arrive. That state must unwind
 // exactly like a plain death — named blame within the poison grace —

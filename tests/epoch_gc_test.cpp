@@ -1,6 +1,6 @@
 // Epoch-based reclamation (TMK_EPOCH_GC) contracts.
 //
-// Four surfaces:
+// Five surfaces:
 //   - the epoch_soak workload keeps its sequential checksum while the
 //     collector reclaims (the per-rank accounting invariant — records
 //     created == reclaimed + live — is asserted inside the variant on
@@ -12,6 +12,8 @@
 //   - pool hygiene at barrier time: a one-epoch twin spike returns to
 //     the OS once quiet barriers follow (high-water-mark trim), and
 //     fully-consumed per-page extensions fold back to nullptr;
+//   - the wire cost of a GC round: one vector clock on each barrier
+//     depart, nothing on the arrivals, no extra messages;
 //   - the CI soak (64 ranks, thousands of barrier epochs) — skipped
 //     unless TMK_SOAK is set, so tier-1 ctest stays fast.
 #include <gtest/gtest.h>
@@ -237,6 +239,35 @@ TEST(EpochGcPools, TwinSpikeReturnsAndPageExtFoldsAfterQuietBarriers) {
   });
   for (const auto& p : r.procs) EXPECT_DOUBLE_EQ(p.checksum, 1.0);
   EXPECT_GT(r.ctr(Id::kIntervalsReclaimed), 0u);
+}
+
+// ---- wire cost of a GC round ------------------------------------------
+
+// The manager already reads every worker's arrival clock, so the
+// horizon costs one vector clock (4n bytes) on each of its n-1 departs
+// and nothing else. With no writes there is nothing to validate, so the
+// GC-on and GC-off runs send the same messages and differ by exactly
+// those clocks.
+TEST(EpochGcWire, HorizonRidesTheDepartsOnly) {
+  constexpr int kRanks = 4;
+  constexpr int kBarriers = 8;
+  constexpr int kInterval = 2;  // GC rounds at barriers 2, 4, 6 and 8
+  auto run = [](bool gc_on) {
+    return runner::spawn(kRanks, fast_options(gc_on, kInterval),
+                         [](runner::ChildContext& ctx) {
+                           tmk::Runtime rt(ctx);
+                           for (int b = 0; b < kBarriers; ++b) rt.barrier();
+                           return 0.0;
+                         });
+  };
+  const auto on = run(true);
+  const auto off = run(false);
+  const auto tmk = static_cast<std::size_t>(mpl::Layer::kTmk);
+  EXPECT_EQ(on.total.messages[tmk], off.total.messages[tmk]);
+  constexpr std::uint64_t kRounds = kBarriers / kInterval;
+  constexpr std::uint64_t kClockBytes = kRanks * sizeof(tmk::Seq);
+  EXPECT_EQ(on.total.bytes[tmk] - off.total.bytes[tmk],
+            kRounds * (kRanks - 1) * kClockBytes);  // 4 * 3 * 16 = 192
 }
 
 // ---- race-report cap (TMK_RACECHECK_MAX_REPORTS) ---------------------

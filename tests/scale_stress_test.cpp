@@ -4,10 +4,10 @@
 // process on the inproc ring mesh — which is what makes 64 and 128 rank
 // configurations affordable (no fork, no fd mesh) and visible to
 // ThreadSanitizer as one program: the TSan CI leg runs this binary as
-// its 64-rank barrier/fault stress target. The suite covers the three
-// structures the 32 -> 128 widening replaced:
+// its 64-rank barrier/fault stress target. The suite covers the
+// barrier and the structures the 32 -> 128 widening replaced:
 //
-//   - the tree barrier (randomized arities, 2..128 ranks),
+//   - the centralized barrier manager at 2..128 ranks,
 //   - the binary-search fault dispatch (concurrent SIGSEGV storm at 64
 //     ranks),
 //   - the 7-bit creator packing (128 concurrent writers publishing
@@ -17,13 +17,12 @@
 #include <cstdint>
 
 #include "apps/registry.hpp"
-#include "common/prng.hpp"
 #include "runner/runner.hpp"
 #include "tmk/runtime.hpp"
 
 namespace {
 
-runner::SpawnOptions thread_options(int barrier_arity = 0) {
+runner::SpawnOptions thread_options() {
   runner::SpawnOptions o;
   o.model = simx::MachineModel::zero_cost();
   // Small per-rank heaps: 128 ranks map 128 of these, and the TSan /
@@ -32,30 +31,19 @@ runner::SpawnOptions thread_options(int barrier_arity = 0) {
   o.timeout_sec = 300;
   o.backend = runner::Backend::kThread;
   o.transport = mpl::TransportKind::kInproc;
-  // The environment's knobs still apply (CI legs export them); only the
-  // barrier arity is pinned.
-  tmk::Config cfg = tmk::Config::from_env();
-  cfg.barrier_arity = barrier_arity;
-  o.tmk_config = cfg;
   return o;
 }
 
-// Barrier correctness at randomized arities across the full rank range:
-// each rank publishes a page before the barrier and checks a rotating
-// peer's page after it, so every fan-in edge carries real write notices
-// and every depart must tailor the child's lacking set correctly.
-TEST(ScaleStress, RandomizedArityBarriersUpTo128Ranks) {
-  common::SplitMix64 prng(0x128ba771e11ull);
+// Barrier correctness across the full rank range: each rank publishes
+// a page before the barrier and checks a rotating peer's page after it,
+// so every arrival carries real write notices and every depart must
+// tailor the worker's lacking set correctly.
+TEST(ScaleStress, BarriersUpTo128Ranks) {
   for (int n : {2, 3, 5, 17, 33, 64, 128}) {
-    // Arity in [1, n): 1 degenerates to a chain, n-1 to the flat
-    // manager; everything between is a genuine multi-level tree.
-    const int arity = 1 + static_cast<int>(prng.next() %
-                                           static_cast<std::uint64_t>(n));
-    SCOPED_TRACE("n=" + std::to_string(n) +
-                 " arity=" + std::to_string(arity));
+    SCOPED_TRACE("n=" + std::to_string(n));
     constexpr int kRounds = 3;
     auto r = runner::spawn(
-        n, thread_options(arity), [](runner::ChildContext& c) {
+        n, thread_options(), [](runner::ChildContext& c) {
           tmk::Runtime rt(c);
           const int np = rt.nprocs();
           auto* data = rt.alloc<std::int32_t>(1024 * np);  // page per rank
@@ -131,31 +119,6 @@ TEST(ScaleStress, ConcurrentFaultStormAt64Ranks) {
           if (mine[(peer * kPages + pg) * 1024] != peer * 1000 + pg)
             ok = -1.0;
         rt.barrier();
-        return ok;
-      });
-  for (const auto& p : r.procs)
-    EXPECT_DOUBLE_EQ(p.checksum, 1.0) << "rank " << p.rank;
-}
-
-// Same storm shape at 64 ranks with a tree barrier behind it — the TSan
-// leg's single named target covering both new concurrent structures in
-// one run.
-TEST(ScaleStress, TreeBarrierFaultStormAt64Ranks) {
-  constexpr int kRanks = 64;
-  auto r = runner::spawn(
-      kRanks, thread_options(/*barrier_arity=*/4), [](runner::ChildContext& c) {
-        tmk::Runtime rt(c);
-        const int np = rt.nprocs();
-        auto* data = rt.alloc<std::int32_t>(1024 * np);
-        rt.barrier();
-        double ok = 1.0;
-        for (int round = 0; round < 2; ++round) {
-          data[1024 * rt.rank()] = 7 * round + rt.rank();
-          rt.barrier();
-          const int peer = (rt.rank() + 31) % np;
-          if (data[1024 * peer] != 7 * round + peer) ok = -1.0;
-          rt.barrier();
-        }
         return ok;
       });
   for (const auto& p : r.procs)

@@ -17,16 +17,6 @@ runner::SpawnOptions fast_options() {
   return o;
 }
 
-// fast_options() with the barrier fan-in pinned to `arity`; every other
-// knob still comes from the environment.
-runner::SpawnOptions tree_options(int arity) {
-  runner::SpawnOptions o = fast_options();
-  tmk::Config cfg = tmk::Config::from_env();
-  cfg.barrier_arity = arity;
-  o.tmk_config = cfg;
-  return o;
-}
-
 // Master writes before the barrier; everyone reads after it.
 TEST(TmkRuntime, BarrierPublishesWrites) {
   auto r = runner::spawn(4, fast_options(), [](runner::ChildContext& c) {
@@ -426,89 +416,14 @@ TEST(TmkRuntime, BarrierCosts2NMinus1Messages) {
   EXPECT_EQ(r.messages(mpl::Layer::kTmk), 3u * 2u * 7u);
 }
 
-// The tree barrier sends one arrive and one depart per tree edge, so
-// the 2(n-1) message count of the flat shape is arity-invariant: the
-// modelled cost the paper variants report does not depend on the
-// fan-in shape chosen for host-side latency.
-TEST(TmkRuntime, TreeBarrierStillCosts2NMinus1Messages) {
-  for (int arity : {1, 2, 3, 5}) {
-    auto r = runner::spawn(8, tree_options(arity),
-                           [](runner::ChildContext& c) {
-                             tmk::Runtime rt(c);
-                             rt.barrier();
-                             rt.barrier();
-                             rt.barrier();
-                             return 0.0;
-                           });
-    EXPECT_EQ(r.messages(mpl::Layer::kTmk), 3u * 2u * 7u)
-        << "arity " << arity;
-  }
-}
-
-// Consistency through the tree: writes published before the barrier are
-// visible after it at every arity, including the interval forwarding
-// up the tree and the tailored departs down it. Runs the same disjoint
-// writer pattern the flat-barrier tests pin, at several arities.
-TEST(TmkRuntime, TreeBarrierPublishesWritesAtAnyArity) {
-  for (int arity : {1, 2, 4, 7}) {
-    auto r = runner::spawn(8, tree_options(arity),
-                           [](runner::ChildContext& c) {
-                             tmk::Runtime rt(c);
-                             constexpr int kPer = 1024;  // one page each
-                             auto* data = rt.alloc<std::int32_t>(kPer * 8);
-                             rt.barrier();
-                             for (int i = 0; i < kPer; ++i)
-                               data[rt.rank() * kPer + i] = rt.rank() + 1;
-                             rt.barrier();
-                             double sum = 0;
-                             for (int i = 0; i < kPer * rt.nprocs(); ++i)
-                               sum += data[i];
-                             rt.barrier();
-                             return sum;
-                           });
-    const double expect = 1024.0 * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8);
-    for (const auto& p : r.procs)
-      EXPECT_DOUBLE_EQ(p.checksum, expect) << "arity " << arity;
-  }
-}
-
-// Locks can propagate intervals ACROSS subtrees between barriers; the
-// tree fan-in must still deliver every interval exactly once and in
-// creator order. The token-passing pattern of LockGrantCarriesConsistency
-// at a deep (arity-2) tree exercises that path.
-TEST(TmkRuntime, TreeBarrierInteroperatesWithLockConsistency) {
-  auto r = runner::spawn(8, tree_options(2), [](runner::ChildContext& c) {
-    tmk::Runtime rt(c);
-    auto* data = rt.alloc<std::int32_t>(1024);
-    auto* turn = rt.alloc<std::int32_t>(1024);
-    rt.barrier();
-    for (int round = 0; round < rt.nprocs(); ++round) {
-      rt.lock_acquire(0);
-      if (*turn < rt.nprocs() && *turn % rt.nprocs() == rt.rank()) {
-        data[*turn] = *turn + 1;
-        *turn += 1;
-      }
-      rt.lock_release(0);
-      rt.barrier();
-    }
-    double sum = 0;
-    for (int i = 0; i < rt.nprocs(); ++i) sum += data[i];
-    rt.barrier();
-    return sum;
-  });
-  // data[i] = i+1 for i in 0..7 => 36.
-  for (const auto& p : r.procs) EXPECT_DOUBLE_EQ(p.checksum, 36.0);
-}
-
-// join_worker reports intervals straight to rank 0, which teaches a
-// non-root tree parent nothing; a later tree barrier must report its
-// own intervals from the floor its PARENT actually knows, or the
-// parent hits an interval gap and aborts. Chain arity (parent = rank-1
-// everywhere) makes every non-leaf parent a non-root, and the barrier
-// must follow the join with NO fork in between — a fork_broadcast
-// would re-teach every worker and mask the gap.
-TEST(TmkRuntime, TreeBarrierAfterForkJoinHasNoIntervalGap) {
-  auto r = runner::spawn(4, tree_options(1), [](runner::ChildContext& c) {
+// join_worker and a barrier arrival both report a worker's own
+// intervals to rank 0, so they share one watermark: the barrier after
+// a join reports from the floor the join left. A floor past it opens an
+// interval gap at the manager, which aborts the run. The barrier
+// follows the join with NO fork in between — a fork_broadcast would
+// re-teach every worker and mask a wrong floor.
+TEST(TmkRuntime, BarrierAfterForkJoinHasNoIntervalGap) {
+  auto r = runner::spawn(4, fast_options(), [](runner::ChildContext& c) {
     tmk::Runtime rt(c);
     constexpr int kPer = 1024;  // one page per rank
     auto* data = rt.alloc<std::int32_t>(kPer * 4);
@@ -529,10 +444,9 @@ TEST(TmkRuntime, TreeBarrierAfterForkJoinHasNoIntervalGap) {
       for (int i = lo; i < lo + kPer; ++i) data[i] += a.scale;
       rt.join_worker();
     }
-    // New intervals after the join, published through the chain
-    // barrier: each rank's contribution must be contiguous with what
-    // its chain parent knows — which excludes the join-reported
-    // intervals the parent never saw.
+    // New intervals after the join, published through the barrier:
+    // each worker's arrival must start right after the intervals its
+    // join already reported.
     data[kPer * rt.rank()] += rt.rank();
     rt.barrier();
     double sum = 0;
