@@ -45,8 +45,7 @@ inline runner::SpawnOptions paper_options() {
   o.model = simx::MachineModel::sp2();
   o.shared_heap_bytes = 512ull << 20;
   o.timeout_sec = 1200;
-  o.transport = opts().transport;  // --transport / TMK_TRANSPORT
-  o.backend = opts().backend;      // --backend / TMK_BACKEND
+  o.backend = opts().backend;  // --backend / TMK_BACKEND
   return o;
 }
 
@@ -64,7 +63,7 @@ struct Row {
   std::string app;
   std::string system;
   std::string size;  // params label, e.g. "2048^2 x 10"
-  std::string transport;      // interconnect ("socket"/"shm"/"inproc")
+  std::string transport;      // ring placement ("shm"/"inproc")
   std::string backend;        // rank execution ("process"/"thread")
   int nprocs = 0;
   double speedup = 0.0;       // vs the same app's sequential virtual time

@@ -1,5 +1,5 @@
-// Hot-path microbenchmarks: diff creation/application, the socket
-// fabric, and a barrier-heavy end-to-end DSM loop.
+// Hot-path microbenchmarks: diff creation/application, the ring-mesh
+// fabric round trip, and barrier-heavy end-to-end DSM loops.
 //
 // Unlike the figure/table benches, which report *modelled* SP/2 time,
 // every row here is host wall-clock: this binary measures the cost of
@@ -68,7 +68,7 @@ std::map<std::pair<std::string, std::string>, bench::Row>& final_rows() {
 /// Records one wall-clock row; micro rows carry per-op seconds.
 void add_row(const std::string& path, const std::string& variant,
              double seconds, double checksum, int nprocs = 1,
-             mpl::TransportKind transport = mpl::TransportKind::kSocket) {
+             mpl::TransportKind transport = mpl::TransportKind::kShm) {
   bench::Row row;
   row.app = "hotpath:" + path;
   row.system = variant;
@@ -142,14 +142,12 @@ BENCHMARK(BM_ApplyDiffSparse);
 // ---- fabric round trip ------------------------------------------------
 
 // Loopback send_app + wait_app through the real transport: frame
-// encode, the backend datagram hop (sendmsg/poll/recv for sockets, a
-// ring push/pop with no syscalls for shm), reassembly, and the
-// pending-queue predicate scan — everything but the wire. The
-// socket-vs-shm pair of rows is the per-message cost the transport
-// refactor targets.
+// encode, the datagram hop (a ring push/pop with no syscalls),
+// reassembly, and the pending-queue predicate scan — everything but
+// the wire: the per-message host cost of the fabric.
 void bm_fabric(benchmark::State& state, const char* variant,
-               std::size_t payload_bytes, mpl::TransportKind kind) {
-  mpl::Fabric fabric(1, kind);
+               std::size_t payload_bytes) {
+  mpl::Fabric fabric(1);
   mpl::Endpoint ep(fabric, 0, simx::MachineModel::zero_cost());
   std::vector<std::byte> payload(payload_bytes, std::byte{0x5a});
   const auto t0 = Clock::now();
@@ -163,26 +161,16 @@ void bm_fabric(benchmark::State& state, const char* variant,
       std::chrono::duration<double>(t1 - t0).count() /
       static_cast<double>(state.iterations());
   add_row("fabric_roundtrip", variant, per_op,
-          static_cast<double>(payload_bytes), 1, kind);
+          static_cast<double>(payload_bytes));
 }
-
-void BM_FabricRoundTrip64(benchmark::State& state) {
-  bm_fabric(state, "64B", 64, mpl::TransportKind::kSocket);
-}
-BENCHMARK(BM_FabricRoundTrip64);
 
 void BM_FabricRoundTrip64Shm(benchmark::State& state) {
-  bm_fabric(state, "64B-shm", 64, mpl::TransportKind::kShm);
+  bm_fabric(state, "64B-shm", 64);
 }
 BENCHMARK(BM_FabricRoundTrip64Shm);
 
-void BM_FabricRoundTrip4K(benchmark::State& state) {
-  bm_fabric(state, "4KiB", common::kPageSize, mpl::TransportKind::kSocket);
-}
-BENCHMARK(BM_FabricRoundTrip4K);
-
 void BM_FabricRoundTrip4KShm(benchmark::State& state) {
-  bm_fabric(state, "4KiB-shm", common::kPageSize, mpl::TransportKind::kShm);
+  bm_fabric(state, "4KiB-shm", common::kPageSize);
 }
 BENCHMARK(BM_FabricRoundTrip4KShm);
 
@@ -191,23 +179,22 @@ BENCHMARK(BM_FabricRoundTrip4KShm);
 // Wall-clock of a full reduced-preset run (fork, fault, twin, diff,
 // barrier, join) with the zero-cost model: all that remains is the
 // harness's own hot-path cost.
-runner::SpawnOptions e2e_options(mpl::TransportKind kind) {
+runner::SpawnOptions e2e_options() {
   runner::SpawnOptions o;
   o.model = simx::MachineModel::zero_cost();
   o.shared_heap_bytes = 256ull << 20;
   o.timeout_sec = 300;
-  o.transport = kind;
   return o;
 }
 
 void bm_workload(benchmark::State& state, const char* key, int nprocs,
-                 mpl::TransportKind kind, const char* variant) {
+                 const char* variant) {
   const apps::Workload& w = apps::find_workload(key);
   double checksum = 0.0;
   const auto t0 = Clock::now();
   for (auto _ : state) {
     const auto r = apps::run_workload(w, apps::System::kTmk, nprocs,
-                                      e2e_options(kind),
+                                      e2e_options(),
                                       apps::Preset::kReduced);
     checksum = r.checksum;
     benchmark::DoNotOptimize(checksum);
@@ -217,26 +204,16 @@ void bm_workload(benchmark::State& state, const char* key, int nprocs,
       std::chrono::duration<double>(t1 - t0).count() /
       static_cast<double>(state.iterations());
   add_row(std::string("e2e_") + key + "_tmk", variant, per_run, checksum,
-          nprocs, kind);
+          nprocs);
 }
-
-void BM_JacobiTmkReduced(benchmark::State& state) {
-  bm_workload(state, "jacobi", 4, mpl::TransportKind::kSocket, "reduced");
-}
-BENCHMARK(BM_JacobiTmkReduced)->Unit(benchmark::kMillisecond);
 
 void BM_JacobiTmkReducedShm(benchmark::State& state) {
-  bm_workload(state, "jacobi", 4, mpl::TransportKind::kShm, "reduced-shm");
+  bm_workload(state, "jacobi", 4, "reduced-shm");
 }
 BENCHMARK(BM_JacobiTmkReducedShm)->Unit(benchmark::kMillisecond);
 
-void BM_MgsTmkReduced(benchmark::State& state) {
-  bm_workload(state, "mgs", 4, mpl::TransportKind::kSocket, "reduced");
-}
-BENCHMARK(BM_MgsTmkReduced)->Unit(benchmark::kMillisecond);
-
 void BM_MgsTmkReducedShm(benchmark::State& state) {
-  bm_workload(state, "mgs", 4, mpl::TransportKind::kShm, "reduced-shm");
+  bm_workload(state, "mgs", 4, "reduced-shm");
 }
 BENCHMARK(BM_MgsTmkReducedShm)->Unit(benchmark::kMillisecond);
 
@@ -271,7 +248,7 @@ double parity_workload(runner::ChildContext& c) {
 }
 
 void BM_FaultMachineryDisabledParity(benchmark::State& state) {
-  auto opts = e2e_options(mpl::TransportKind::kInproc);
+  auto opts = e2e_options();
   opts.backend = runner::Backend::kThread;
   opts.shared_heap_bytes = 16ull << 20;
   const auto plain = runner::spawn(4, opts, parity_workload);

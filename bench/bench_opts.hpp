@@ -1,11 +1,9 @@
 // Command-line options shared by every bench binary.
 //
-//   --transport={socket,shm,inproc}
-//                              interconnect for all runs in the binary
-//                              (overrides TMK_TRANSPORT; default socket;
-//                              inproc implies the thread backend)
 //   --backend={process,thread} execution backend for the ranks
-//                              (overrides TMK_BACKEND; default process)
+//                              (overrides TMK_BACKEND; default process;
+//                              the backend picks the ring mesh's
+//                              placement, shm or inproc)
 //   --nprocs-list=2,4,8,16,32  process counts for binaries that sweep
 //                              process counts (bench_scale); others
 //                              ignore it
@@ -21,18 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "mpl/frame.hpp"
-#include "mpl/transport.hpp"
 #include "runner/runner.hpp"
 
 namespace bench {
 
 struct Opts {
-  mpl::TransportKind transport = mpl::transport_from_env();
-  bool transport_set = false;    // --transport (or TMK_TRANSPORT) given
   runner::Backend backend = runner::backend_from_env();
-  bool backend_set = false;      // --backend (or TMK_BACKEND) given
   std::vector<int> nprocs_list;  // empty = the binary's default sweep
 };
 
@@ -45,8 +38,7 @@ inline Opts& opts() {
                                           const std::string& complaint) {
   std::fprintf(stderr,
                "%s: %s\n"
-               "usage: %s [--transport={socket,shm,inproc}]"
-               " [--backend={process,thread}]"
+               "usage: %s [--backend={process,thread}]"
                " [--nprocs-list=N1,N2,...]   (1 <= N <= %d)\n"
                "       plus any google-benchmark flags\n",
                binary, complaint.c_str(), binary, mpl::kMaxProcs);
@@ -54,31 +46,15 @@ inline Opts& opts() {
 }
 
 inline void parse_bench_opts(int& argc, char** argv) {
-  if (const char* env = common::env::raw("TMK_TRANSPORT");
-      env != nullptr && mpl::parse_transport(env).has_value())
-    opts().transport_set = true;
-  if (const char* env = common::env::raw("TMK_BACKEND");
-      env != nullptr && runner::parse_backend(env).has_value())
-    opts().backend_set = true;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--transport=", 12) == 0) {
-      const auto k = mpl::parse_transport(arg + 12);
-      if (!k)
-        bench_opts_usage(argv[0], std::string("unknown transport '") +
-                                      (arg + 12) + "'");
-      opts().transport = *k;
-      opts().transport_set = true;
-      continue;
-    }
     if (std::strncmp(arg, "--backend=", 10) == 0) {
       const auto b = runner::parse_backend(arg + 10);
       if (!b)
         bench_opts_usage(argv[0], std::string("unknown backend '") +
                                       (arg + 10) + "'");
       opts().backend = *b;
-      opts().backend_set = true;
       continue;
     }
     if (std::strncmp(arg, "--nprocs-list=", 14) == 0) {
@@ -103,21 +79,6 @@ inline void parse_bench_opts(int& argc, char** argv) {
   }
   argc = out;
   argv[argc] = nullptr;
-  // The in-process mesh only exists inside one address space. An
-  // unstated backend is implied by --transport=inproc; explicitly
-  // contradictory flags are an error, like any other bad flag value
-  // (silently running a configuration the user did not ask for would
-  // poison the recorded bench rows).
-  const bool want_inproc = opts().transport == mpl::TransportKind::kInproc;
-  const bool want_thread = opts().backend == runner::Backend::kThread;
-  if (opts().transport_set && opts().backend_set && want_inproc != want_thread)
-    bench_opts_usage(argv[0],
-                     "--transport=inproc requires --backend=thread (and the "
-                     "thread backend only runs the inproc transport)");
-  if (want_inproc && !opts().backend_set)
-    opts().backend = runner::Backend::kThread;
-  if (want_thread && !opts().transport_set)
-    opts().transport = mpl::TransportKind::kInproc;
 }
 
 }  // namespace bench

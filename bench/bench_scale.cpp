@@ -1,28 +1,22 @@
-// Scale sweeps beyond the paper's 8 processors, on both transports.
+// Scale sweeps beyond the paper's 8 processors.
 //
 // The paper's Figures 1-2 stop at 8 nodes because the SP/2 did. The
-// modelled results are transport-invariant, so what actually bounds
-// larger configurations is the *host-side* cost of the simulation
-// harness — which is exactly what the shared-memory transport attacks.
-// This binary sweeps every registry variant that opts into scaling
-// (Variant::scale_nprocs: Jacobi, Shallow, MGS, 3-D FFT — both the
-// TreadMarks and the hand-coded message-passing variants — at 2..32)
-// over {socket, shm}, and records per row both the modelled speedup
-// and the host wall/CPU cost, so BENCH_results.json tracks two
-// trajectories at once: how the modelled systems scale past the paper,
-// and how much cheaper the shm mailbox fabric makes simulating them.
-// The DSM variants' host time is part protocol work (twins, diffs,
-// mprotect), so the transport buys them tens of percent; the MP
-// variants are nearly pure messaging and show the raw transport gap
-// (2-10x here).
+// modelled results are computed above the transport, so what actually
+// bounds larger configurations is the *host-side* cost of the
+// simulation harness. This binary sweeps every registry variant that
+// opts into scaling (Variant::scale_nprocs: Jacobi, Shallow, MGS, 3-D
+// FFT — both the TreadMarks and the hand-coded message-passing
+// variants — at 2..32) on one backend, and records per row both the
+// modelled speedup and the host wall/CPU cost, so BENCH_results.json
+// tracks two trajectories at once: how the modelled systems scale past
+// the paper, and what simulating them costs the host.
 //
-//   ./bench_scale                          # both transports, registry sweep
-//   ./bench_scale --transport=shm          # one transport only
+//   ./bench_scale                          # forked ranks on the shm mesh
 //   ./bench_scale --backend=thread         # rank threads on the inproc mesh
 //   ./bench_scale --nprocs-list=16,32      # override the sweep points
 //
 // Sizes follow the registry's scale preset (test-scale dimensions with
-// amplified iteration counts, so transport cost — not spawn or raw
+// amplified iteration counts, so messaging cost — not spawn or raw
 // compute — dominates); export TMK_FULL_SIZES=1 for paper sizes.
 #include <benchmark/benchmark.h>
 
@@ -40,36 +34,23 @@ const std::any& scale_params(const apps::Workload& w) {
   return w.params(apps::Preset::kReduced);
 }
 
-std::vector<mpl::TransportKind> transports() {
-  // The thread backend always runs the in-process mesh; sweeping the
-  // fork transports under it would just measure inproc twice.
-  if (bench::opts().backend == runner::Backend::kThread)
-    return {mpl::TransportKind::kInproc};
-  if (bench::opts().transport_set) return {bench::opts().transport};
-  return {mpl::TransportKind::kSocket, mpl::TransportKind::kShm};
-}
-
 void sweep_workload(const apps::Workload& w, const apps::Variant& v) {
   const std::any& params = scale_params(w);
   const std::string size = w.describe(params);
-  runner::SpawnOptions opts = bench::paper_options();
+  const runner::SpawnOptions opts = bench::paper_options();
 
   const std::vector<int>& nprocs_list = bench::opts().nprocs_list.empty()
                                             ? v.scale_nprocs
                                             : bench::opts().nprocs_list;
-  for (mpl::TransportKind t : transports()) {
-    opts.transport = t;
-    // Per-transport sequential baseline: modelled time is identical
-    // across transports (asserted by the equivalence suite); running it
-    // under each keeps every row's host-side columns self-consistent.
-    const runner::RunResult seq =
-        apps::run_workload(w, apps::System::kSeq, 1, opts, params);
-    bench::record(w.name, apps::System::kSeq, 1, seq.seconds(), seq, size);
-    for (int np : nprocs_list) {
-      const runner::RunResult r =
-          apps::run_workload(w, v.system, np, opts, params);
-      bench::record(w.name, v.system, np, seq.seconds(), r, size);
-    }
+  // The sequential baseline runs on the sweep's backend too, so every
+  // row's host-side columns stay self-consistent.
+  const runner::RunResult seq =
+      apps::run_workload(w, apps::System::kSeq, 1, opts, params);
+  bench::record(w.name, apps::System::kSeq, 1, seq.seconds(), seq, size);
+  for (int np : nprocs_list) {
+    const runner::RunResult r =
+        apps::run_workload(w, v.system, np, opts, params);
+    bench::record(w.name, v.system, np, seq.seconds(), r, size);
   }
 }
 
@@ -94,8 +75,7 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
 
-  std::cout << "\n=== scale sweep (modelled speedup and host cost per "
-               "transport) ===\n";
+  std::cout << "\n=== scale sweep (modelled speedup and host cost) ===\n";
   common::TextTable t;
   t.header({"application", "system", "transport", "backend", "update",
             "nprocs", "speedup", "time(s)", "host wall(s)", "host cpu(s)",

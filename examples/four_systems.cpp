@@ -8,11 +8,11 @@
 // file names no application.
 //
 //   ./examples/four_systems [jacobi|shallow|mgs|fft|igrid|nbf] [nprocs]
-//                           [default|reduced|full] [socket|shm]
+//                           [default|reduced|full]
 //
-// The transport argument (or TMK_TRANSPORT) picks the host interconnect
-// of the simulated mesh; the printed speedups, messages, and checksums
-// are identical either way — only the harness's own wall time changes.
+// The header names the ring mesh the run used (shm for forked ranks,
+// inproc under TMK_BACKEND=thread); the printed speedups, messages, and
+// checksums are computed above it and do not depend on it.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,16 +38,6 @@ int main(int argc, char** argv) {
   const int nprocs = (argc > 2) ? std::atoi(argv[2]) : 8;
   const apps::Preset preset =
       parse_preset((argc > 3) ? argv[3] : "default");
-  mpl::TransportKind transport = mpl::transport_from_env();
-  if (argc > 4) {
-    const auto parsed = mpl::parse_transport(argv[4]);
-    if (!parsed) {
-      std::fprintf(stderr, "unknown transport '%s'; expected socket or shm\n",
-                   argv[4]);
-      return 1;
-    }
-    transport = *parsed;
-  }
 
   const apps::Workload* workload = nullptr;
   try {
@@ -65,7 +55,6 @@ int main(int argc, char** argv) {
   runner::SpawnOptions options;
   options.model = simx::MachineModel::sp2();
   options.shared_heap_bytes = 512ull << 20;
-  options.transport = transport;
 
   const auto seq =
       apps::run_workload(w, apps::System::kSeq, 1, options, params);
@@ -73,7 +62,7 @@ int main(int argc, char** argv) {
       "%s (%s, %s, %s transport): sequential model time %.3f s "
       "(checksum %.6g)\n\n",
       w.name.c_str(), w.describe(params).c_str(), apps::to_string(w.cls),
-      mpl::to_string(transport), seq.seconds(), seq.checksum);
+      mpl::to_string(seq.transport), seq.seconds(), seq.checksum);
 
   common::TextTable t;
   t.header({"system", "speedup", "time(s)", "messages", "data(KB)",

@@ -1,8 +1,8 @@
 // Error-handling primitives shared by every module.
 //
-// The runtime spans multiple processes connected by sockets; when an
-// invariant breaks we want a loud, location-tagged failure in the process
-// that detected it rather than a silent wedge of the whole process mesh.
+// The runtime spans a mesh of ranks connected by message rings; when an
+// invariant breaks we want a loud, location-tagged failure in the rank
+// that detected it rather than a silent wedge of the whole mesh.
 #pragma once
 
 #include <cerrno>

@@ -24,7 +24,6 @@ namespace common::env {
 /// options TMK_TSAN / TMK_ASAN are CMake cache names, listed so an
 /// exported copy in the environment is not flagged as a typo).
 inline constexpr std::string_view kKnown[] = {
-    "TMK_TRANSPORT",         // mpl: socket|shm|inproc
     "TMK_BACKEND",           // runner: process|thread
     "TMK_FABRIC_BURST",      // mpl: 0 disables per-peer send bursts
     "TMK_CPU_SCALE",         // sim: compute scaling factor (> 0)
@@ -63,7 +62,7 @@ inline void warn_value(const char* name, const char* value,
 
 }  // namespace detail
 
-/// Raw lookup for string-valued knobs (TMK_TRANSPORT, TMK_FAULT_INJECT);
+/// Raw lookup for string-valued knobs (TMK_BACKEND, TMK_FAULT_INJECT);
 /// validation lives with the parser that understands the value.
 [[nodiscard]] inline const char* raw(const char* name) noexcept {
   return std::getenv(name);
@@ -117,7 +116,7 @@ inline void warn_value(const char* name, const char* value,
 }
 
 /// Scans the environment for TMK_-prefixed names outside kKnown and
-/// warns once per name: a typoed knob (TMK_TRANSPRT=shm) fails loud
+/// warns once per name: a typoed knob (TMK_BAKEND=thread) fails loud
 /// instead of silently doing nothing. Called from runner::spawn.
 inline void warn_unrecognized_once() {
   for (char** e = ::environ; e != nullptr && *e != nullptr; ++e) {

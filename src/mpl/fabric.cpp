@@ -4,14 +4,12 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "common/cpu_clock.hpp"
 #include "common/env.hpp"
 #include "mpl/inproc_transport.hpp"
 #include "mpl/shm_transport.hpp"
-#include "mpl/socket_transport.hpp"
 
 namespace mpl {
 
@@ -40,22 +38,6 @@ void give_buffer(BufferPool& pool, std::vector<std::byte>&& buf) {
 
 }  // namespace
 
-std::optional<TransportKind> parse_transport(std::string_view name) noexcept {
-  if (name == "socket") return TransportKind::kSocket;
-  if (name == "shm") return TransportKind::kShm;
-  if (name == "inproc") return TransportKind::kInproc;
-  return std::nullopt;
-}
-
-TransportKind transport_from_env(TransportKind fallback) noexcept {
-  const char* env = common::env::raw("TMK_TRANSPORT");
-  if (env == nullptr) return fallback;
-  if (auto k = parse_transport(env)) return *k;
-  common::env::detail::warn_value("TMK_TRANSPORT", env,
-                                  "expected socket, shm, or inproc");
-  return fallback;
-}
-
 bool burst_from_env() noexcept {
   // Read per construction (never cached in a static): equivalence tests
   // toggle the mode between spawns within one process.
@@ -65,17 +47,8 @@ bool burst_from_env() noexcept {
 Fabric::Fabric(int nprocs, TransportKind kind) : nprocs_(nprocs), kind_(kind) {
   COMMON_CHECK_MSG(nprocs >= 1 && nprocs <= kMaxProcs,
                    "nprocs=" << nprocs << " outside [1," << kMaxProcs << "]");
-  switch (kind) {
-    case TransportKind::kShm:
-      state_ = make_shm_fabric(nprocs);
-      break;
-    case TransportKind::kInproc:
-      state_ = make_inproc_fabric(nprocs);
-      break;
-    case TransportKind::kSocket:
-      state_ = make_socket_fabric(nprocs);
-      break;
-  }
+  state_ = kind == TransportKind::kInproc ? make_inproc_fabric(nprocs)
+                                          : make_shm_fabric(nprocs);
 }
 
 std::unique_ptr<Transport> Fabric::adopt(int rank) {

@@ -10,14 +10,14 @@
 //               (replies, grants, barrier and fork/join traffic, pvme data)
 //
 // How chunks cross the host is a Transport concern (transport.hpp):
-// socketpairs or shared-memory rings, selected per run. Everything
+// one ring mesh, in a region the runner backend places. Everything
 // protocol-visible lives HERE, in the Endpoint — framing, chunked
 // reassembly keyed by (src, kind, tag, req_id), logical-message
 // counters, and virtual-clock charges — which is why modelled results
-// (message counts, bytes, virtual times, checksums) are identical
-// across transports by construction.
+// (message counts, bytes, virtual times, checksums) cannot depend on
+// the host interconnect.
 //
-// All transports are non-blocking on the send side. Main-thread sends
+// The transport is non-blocking on the send side. Main-thread sends
 // that would block first drain incoming app traffic into the Inbox
 // ("pumping"), which makes all-to-all patterns deadlock-free without a
 // rendezvous protocol.
@@ -71,31 +71,31 @@ struct BufferPool {
   std::size_t takes = 0;
 };
 
-/// Parent-side bundle of the whole interconnect. Children call
-/// Endpoint's constructor with their rank (which adopts their slice);
-/// destroying the Fabric afterwards releases every resource that rank
-/// does not own.
+/// Parent-side bundle of the whole interconnect. Ranks call Endpoint's
+/// constructor with their rank (which adopts their view); destroying
+/// the Fabric afterwards releases every resource that rank does not
+/// own.
 class Fabric {
  public:
-  explicit Fabric(int nprocs, TransportKind kind = TransportKind::kSocket);
+  explicit Fabric(int nprocs, TransportKind kind = TransportKind::kShm);
   Fabric(Fabric&&) noexcept = default;
   Fabric& operator=(Fabric&&) noexcept = default;
 
   [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
   [[nodiscard]] TransportKind kind() const noexcept { return kind_; }
 
-  /// Builds this rank's Transport, consuming its slice of the parent
-  /// state. Called (once) from the child, via Endpoint.
+  /// Builds this rank's Transport over the parent-side region. Called
+  /// (once per rank) via Endpoint.
   [[nodiscard]] std::unique_ptr<Transport> adopt(int rank);
 
   /// Parent-side death-propagation handle (see PeerKiller). Call before
-  /// discarding the Fabric — the killer takes over the resources it
-  /// needs (the shm region view, the poison-pipe write ends).
+  /// discarding the Fabric — the killer takes over the region view it
+  /// needs.
   [[nodiscard]] std::unique_ptr<PeerKiller> make_peer_killer();
 
  private:
   int nprocs_ = 0;
-  TransportKind kind_ = TransportKind::kSocket;
+  TransportKind kind_ = TransportKind::kShm;
   std::unique_ptr<FabricState> state_;
 };
 

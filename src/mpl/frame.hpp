@@ -3,8 +3,9 @@
 // Named `mpl` after IBM's user-level Message Passing Library, which both
 // TreadMarks and the XHPF runtime used on the SP/2 (§3 of the paper).
 // Every logical message is split into one or more datagram chunks; every
-// chunk carries the full header. Chunks of one logical message are sent
-// back-to-back on one socket, so per-key reassembly never sees reordering.
+// chunk carries the full header. Chunks of one logical message are pushed
+// back-to-back by one sending thread into one ring, so per-key reassembly
+// never sees reordering.
 #pragma once
 
 #include <cstddef>
@@ -13,19 +14,17 @@
 
 namespace mpl {
 
-// 128 covers the thread-backend scale sweeps far past the paper's 8 and
-// the fork sweeps' 32. Everything sized by this constant is either
-// lazily materialized (ring mesh pages, per-page protocol state) or
-// O(kMaxProcs) small (vector clocks, dispatch tables), so raising it
-// costs idle configurations almost nothing. The socket backend needs
-// 4*n^2 descriptors for a full mesh; the fabric raises RLIMIT_NOFILE
-// toward the hard limit when required and fails loudly when even that
-// is not enough — in practice fork backends stop at 32 ranks and the
-// 64/128-rank configurations run on the thread backend's inproc mesh.
+// 128 covers the scale sweeps far past the paper's 8 on either runner
+// backend. Everything sized by this constant is either lazily
+// materialized (ring mesh pages, per-page protocol state) or
+// O(kMaxProcs) small (vector clocks, dispatch tables, the ring region's
+// two poison words), so raising it costs idle configurations almost
+// nothing.
 inline constexpr int kMaxProcs = 128;
 
-/// Largest payload per datagram chunk. Kept under typical Unix-domain
-/// socket buffer limits so a single chunk can always be queued.
+/// Largest payload per datagram chunk. The ring capacity
+/// (shm_transport.hpp) is sized from it so one maximum-size chunk can
+/// always be pushed.
 inline constexpr std::size_t kMaxChunk = 56 * 1024;
 
 inline constexpr std::uint32_t kFrameMagic = 0x544d4b31;  // "TMK1"

@@ -1,17 +1,18 @@
-// Shared-memory mailbox transport: syscall-free datagram delivery.
+// Ring-mesh mailbox transport: syscall-free datagram delivery.
 //
-// One MAP_SHARED | MAP_ANONYMOUS region is mapped by the parent before
-// forking, so every child inherits it at the same address. Inside it,
-// per (src, dst, lane, sending-thread) there is a lock-free SPSC ring
-// (spsc_ring.hpp) — four rings per ordered pair, so the main and
-// service threads of one process never share a producer cursor, and
-// per-thread FIFO matches what two threads sendmsg()ing one SEQPACKET
-// socket provide. Per (dst, lane) there is additionally a futex
-// doorbell: senders bump a sequence word after each push and issue
-// FUTEX_WAKE only when the receiver has advertised itself asleep, so
-// the steady-state send/receive path performs no syscalls at all —
-// the property Richie et al.'s Epiphany mailbox DSM demonstrates and
-// the reason the modelled 16/32-process sweeps become affordable.
+// For the process backend, one MAP_SHARED | MAP_ANONYMOUS region is
+// mapped by the parent before forking, so every child inherits it at
+// the same address (the thread backend's InprocTransport reuses this
+// class over a private region). Inside it, per (src, dst, lane,
+// sending-thread) there is a lock-free SPSC ring (spsc_ring.hpp) —
+// four rings per ordered pair, so the main and service threads of one
+// rank never share a producer cursor and each keeps its own FIFO. Per
+// (dst, lane) there is additionally a futex doorbell: senders bump a
+// sequence word after each publish and issue FUTEX_WAKE only when the
+// receiver has advertised itself asleep, so the steady-state
+// send/receive path performs no syscalls at all — the property Richie
+// et al.'s Epiphany mailbox DSM demonstrates and the reason the
+// modelled high-rank sweeps are affordable.
 //
 // Memory footprint: nprocs^2 * 4 rings of 128 KiB — ~8.6 GiB of address
 // space at 128 processes, but MAP_NORESERVE and touched lazily: a ring
@@ -37,8 +38,8 @@ namespace mpl {
 
 /// Ring data capacity. Must be at least SpscRing::min_capacity of the
 /// largest datagram (kMaxChunk payload + framing, TWICE over — see
-/// min_capacity's wrap analysis) so chunking stays identical across
-/// transports and a maximum-size push can always make progress.
+/// min_capacity's wrap analysis) so a maximum-size push can always make
+/// progress.
 inline constexpr std::uint32_t kShmRingBytes = 128 * 1024;
 static_assert(kShmRingBytes >= SpscRing::min_capacity(kMaxChunk));
 

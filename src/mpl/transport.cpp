@@ -1,7 +1,5 @@
 #include "mpl/transport.hpp"
 
-#include <ostream>
-
 namespace mpl {
 
 Transport::Transport(int rank, int nprocs)
@@ -46,7 +44,5 @@ void Transport::wait_recv(Lane lane, std::uint32_t token) {
 }
 
 void Transport::wake_service() { do_wake_service(); }
-
-void Transport::describe_channels(std::ostream& os) { (void)os; }
 
 }  // namespace mpl

@@ -3,36 +3,31 @@
 // The Endpoint core (fabric.hpp) owns everything protocol-visible —
 // framing, chunking, reassembly, message/byte counters, virtual-clock
 // charges. A Transport only moves opaque datagram chunks between
-// processes, so the modelled results (message counts, bytes, virtual
-// times, checksums) are bit-identical across backends by construction;
-// only the *host-side* cost of moving a chunk differs. Backends:
-//
-//   SocketTransport (socket_transport.hpp)
-//       SOCK_SEQPACKET Unix-domain socketpairs, one per directed
-//       channel; sendmsg/recv/poll per datagram. The original fabric.
+// ranks, so the modelled results (message counts, bytes, virtual
+// times, checksums) cannot depend on it; only the *host-side* cost of
+// moving a chunk lives here. There is one interconnect, a ring mesh
+// of per-(pair, lane, sending-thread) lock-free SPSC byte rings with
+// futex doorbells, whose steady-state datagram path makes no
+// syscalls. The runner backend decides where its region lives:
 //
 //   ShmTransport (shm_transport.hpp)
-//       Per-(pair, lane, sending-thread) lock-free SPSC byte rings in
-//       one MAP_SHARED region inherited through the runner's fork, with
-//       futex-based blocking — the steady-state datagram path performs
-//       no syscalls at all.
+//       One MAP_SHARED region inherited through the process backend's
+//       fork.
 //
 //   InprocTransport (inproc_transport.hpp)
-//       The same ring mesh over plain process-private memory, for the
-//       runner's thread backend where all "processes" are threads of
-//       one address space: no fork, no fd inheritance, no MAP_SHARED.
+//       One process-private region shared by the thread backend's rank
+//       threads: no fork, no MAP_SHARED.
 //
-// Delivery contract every backend honours (what the Endpoint's
-// reassembly relies on): datagrams are never corrupted, duplicated, or
-// dropped, and datagrams pushed by ONE sending thread toward one
-// (destination, lane) arrive in push order. Datagrams from different
-// sending threads (a peer's main and service threads share outgoing
-// channels) may interleave arbitrarily, exactly as two threads
-// sendmsg()ing one socket interleave.
+// Delivery contract (what the Endpoint's reassembly relies on):
+// datagrams are never corrupted, duplicated, or dropped, and datagrams
+// pushed by ONE sending thread toward one (destination, lane) arrive
+// in push order. Datagrams from different sending threads (a peer's
+// main and service threads share outgoing channels) may interleave
+// arbitrarily.
 //
-// Failure handling lives in THIS base class so its semantics are
-// backend-identical by construction: the public entry points are
-// non-virtual wrappers over protected do_* hooks. The wrappers
+// Failure handling lives in THIS base class, above the ring layout:
+// the public entry points are non-virtual wrappers over protected do_*
+// hooks. The wrappers
 //   - drive the rank's deterministic fault plan (TMK_FAULT_INJECT,
 //     fault_inject.hpp) on the send path and at barrier entry;
 //   - drop sends once this rank's fault has fired, so a dying rank
@@ -40,7 +35,7 @@
 //   - bound every blocking wait to kMaxWaitSliceMs, so callers
 //     (fabric.cpp) re-check peer-death poison and their wait deadline
 //     between slices instead of parking indefinitely;
-//   - cache the backend's poison signal (poll_poison) so the per-wait
+//   - cache the region's poison signal (poll_poison) so the per-wait
 //     check is one atomic load after a peer death was first observed.
 #pragma once
 
@@ -49,41 +44,22 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 
 #include "mpl/fault_inject.hpp"
 #include "mpl/frame.hpp"
 
 namespace mpl {
 
-/// Which interconnect a run's process mesh is built on. kInproc only
-/// works when every rank lives in one address space (the runner's
-/// thread backend); the fork-based backends cannot use it.
-enum class TransportKind : std::uint8_t { kSocket = 0, kShm = 1, kInproc = 2 };
+/// Where a run's ring mesh lives: a MAP_SHARED region the process
+/// backend's forked ranks inherit (kShm), or a process-private region
+/// the thread backend's rank threads share (kInproc). The runner
+/// backend decides; kInproc cannot cross a fork.
+enum class TransportKind : std::uint8_t { kShm = 1, kInproc = 2 };
 
 [[nodiscard]] constexpr const char* to_string(TransportKind k) noexcept {
-  switch (k) {
-    case TransportKind::kShm:
-      return "shm";
-    case TransportKind::kInproc:
-      return "inproc";
-    case TransportKind::kSocket:
-      break;
-  }
-  return "socket";
+  return k == TransportKind::kInproc ? "inproc" : "shm";
 }
-
-/// Parses a transport name ("socket", "shm", or "inproc"); nullopt on
-/// anything else.
-[[nodiscard]] std::optional<TransportKind> parse_transport(
-    std::string_view name) noexcept;
-
-/// The process-wide default: TMK_TRANSPORT=socket|shm when set (and
-/// valid), else `fallback`.
-[[nodiscard]] TransportKind transport_from_env(
-    TransportKind fallback = TransportKind::kSocket) noexcept;
 
 /// Whether the burst-mode send path is enabled: TMK_FABRIC_BURST=0
 /// disables it, anything else (including unset) keeps the default ON.
@@ -92,17 +68,15 @@ enum class TransportKind : std::uint8_t { kSocket = 0, kShm = 1, kInproc = 2 };
 [[nodiscard]] bool burst_from_env() noexcept;
 
 /// Host-side cost counters of one transport view. These are HOST
-/// observables (how many kernel round-trips the interconnect cost this
-/// process), never modelled quantities: the modelled message/byte
-/// counters and virtual times live in the Endpoint and are identical
-/// across transports and burst modes by construction.
+/// observables (how many publishes and kernel wakes the interconnect
+/// cost this rank), never modelled quantities: the modelled
+/// message/byte counters and virtual times live in the Endpoint and are
+/// identical across burst modes by construction.
 struct HostStats {
-  /// Datagram publishes toward peers: doorbell bumps for the ring
-  /// transports, send syscalls for the socket transport. A burst of N
+  /// Datagram publishes toward peers (doorbell bumps). A burst of N
   /// frames costs 1, not N.
   std::uint64_t send_calls = 0;
-  /// FUTEX_WAKE syscalls actually issued by send-side doorbells (ring
-  /// transports only; always 0 for sockets).
+  /// FUTEX_WAKE syscalls actually issued by send-side doorbells.
   std::uint64_t futex_wakes = 0;
 };
 
@@ -133,10 +107,10 @@ class ChunkSink {
   void (*call_)(const void*, const FrameHeader&, std::span<const std::byte>);
 };
 
-/// One process's view of the interconnect. Constructed by Fabric::adopt
-/// in the forked child; used by exactly two threads — the main thread
-/// (kApp receives, sends on either lane) and the service thread (kSvc
-/// receives, sends on either lane).
+/// One rank's view of the interconnect. Constructed by Fabric::adopt
+/// on the rank's main thread; used by exactly two threads — the main
+/// thread (kApp receives, sends on either lane) and the service thread
+/// (kSvc receives, sends on either lane).
 class Transport {
  public:
   /// Upper bound every blocking do_wait_* honours: a parked rank wakes
@@ -151,8 +125,8 @@ class Transport {
 
   /// Attempts to enqueue one datagram (header + chunk) toward `dst`'s
   /// `lane`. Returns false when the channel is full — the caller may
-  /// pump its own inbound traffic and retry (the deadlock-freedom
-  /// discipline of the socket fabric). Drives the fault plan; once this
+  /// pump its own inbound traffic and retry (the Endpoint's
+  /// deadlock-freedom discipline). Drives the fault plan; once this
   /// rank's fault fired, the datagram is silently dropped (reported as
   /// sent) so the dying rank unwinds instead of wedging in a send.
   bool try_send(Lane lane, int dst, const FrameHeader& h,
@@ -172,7 +146,7 @@ class Transport {
   /// Samples the arrival state of `lane` for a lost-wakeup-free wait:
   /// a token taken BEFORE a drain, passed to wait_recv AFTER the drain
   /// came up empty, guarantees wait_recv returns promptly if anything
-  /// arrived in between. (Level-triggered backends may ignore it.)
+  /// arrived in between.
   [[nodiscard]] std::uint32_t recv_token(Lane lane);
 
   /// Blocks until new datagrams may be ready on `lane` — or, for
@@ -185,19 +159,18 @@ class Transport {
   /// for shutdown). Callable from the main thread.
   void wake_service();
 
-  // ---- burst mode (optional; default implementation = no batching) ----
+  // ---- bursts ----
   //
   // A burst groups consecutive try_sends from ONE thread toward ONE
-  // (lane, dst) so the backend can publish them as a unit: the ring
-  // transports stage records and ring the doorbell once at flush, the
-  // socket transport gathers copies and hands them to the kernel in one
-  // vectored call. Between begin_burst and a successful try_flush_burst
-  // the frames may be invisible to the receiver, so callers MUST flush
-  // before blocking on anything a peer could be waiting to answer — the
-  // Endpoint enforces this at its operation boundaries.
+  // (lane, dst) so they publish as a unit: the ring stages the records
+  // and rings the doorbell once at flush. Between begin_burst and a
+  // successful try_flush_burst the frames may be invisible to the
+  // receiver, so callers MUST flush before blocking on anything a peer
+  // could be waiting to answer — the Endpoint enforces this at its
+  // operation boundaries.
 
   /// Opens (or continues) a burst from the calling thread toward
-  /// (lane, dst). Backends without burst support ignore it.
+  /// (lane, dst).
   void begin_burst(Lane lane, int dst) { do_begin_burst(lane, dst); }
 
   /// Publishes everything buffered by the current burst toward
@@ -209,7 +182,7 @@ class Transport {
   }
 
   /// Host-side cost counters accumulated by this view (see HostStats).
-  [[nodiscard]] virtual HostStats host_stats() const noexcept { return {}; }
+  [[nodiscard]] virtual HostStats host_stats() const noexcept = 0;
 
   // ---- failure handling ----
 
@@ -233,7 +206,7 @@ class Transport {
 
   /// The lowest-numbered peer known to have died (runner poison), or
   /// -1. One relaxed load after the first observation; the slow path
-  /// asks the backend (poll_poison).
+  /// scans the region (poll_poison).
   [[nodiscard]] int poisoned_peer() noexcept {
     const int cached = poison_cache_.load(std::memory_order_relaxed);
     if (cached >= 0) return cached;
@@ -242,10 +215,9 @@ class Transport {
     return dead;
   }
 
-  /// Appends a human-readable per-peer channel snapshot (ring occupancy
-  /// / queued burst frames) to `os` for crash reports. Best-effort and
-  /// backend-specific; the default writes nothing.
-  virtual void describe_channels(std::ostream& os);
+  /// Appends a human-readable per-peer channel snapshot (incoming ring
+  /// occupancy) to `os` for crash reports. Best-effort.
+  virtual void describe_channels(std::ostream& os) = 0;
 
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
@@ -260,13 +232,11 @@ class Transport {
   virtual void do_wait_recv(Lane lane, std::uint32_t token,
                             int timeout_ms) = 0;
   virtual void do_wake_service() = 0;
-  virtual void do_begin_burst(Lane /*lane*/, int /*dst*/) {}
-  [[nodiscard]] virtual bool do_try_flush_burst(Lane /*lane*/, int /*dst*/) {
-    return true;
-  }
-  /// Backend scan for the runner's peer-death poison signal: the id of
-  /// a dead peer, or -1. Called only until the first positive answer.
-  [[nodiscard]] virtual int poll_poison() noexcept { return -1; }
+  virtual void do_begin_burst(Lane lane, int dst) = 0;
+  [[nodiscard]] virtual bool do_try_flush_burst(Lane lane, int dst) = 0;
+  /// Scan for the runner's peer-death poison signal: the id of a dead
+  /// peer, or -1. Called only until the first positive answer.
+  [[nodiscard]] virtual int poll_poison() noexcept = 0;
 
   int rank_ = 0;
   int nprocs_ = 1;
@@ -288,19 +258,17 @@ class PeerKiller {
   virtual void poison(int dead_rank) noexcept = 0;
 };
 
-/// Parent-side backend state, built by the Fabric BEFORE forking so
-/// every child inherits it (descriptors or a shared mapping). adopt()
-/// is called at most once per rank, in that rank's child process.
+/// Parent-side ring region, built by the Fabric BEFORE the ranks start
+/// so every rank reaches it (inherited through fork, or shared by the
+/// rank threads). adopt() is called at most once per rank.
 class FabricState {
  public:
   virtual ~FabricState() = default;
   [[nodiscard]] virtual std::unique_ptr<Transport> adopt(int rank) = 0;
   /// Builds the parent-side death-propagation handle. Must be called
   /// BEFORE the parent releases the fabric (the handle takes over the
-  /// resources it needs); null when the backend has no poison path.
-  [[nodiscard]] virtual std::unique_ptr<PeerKiller> make_killer() {
-    return nullptr;
-  }
+  /// region view it needs).
+  [[nodiscard]] virtual std::unique_ptr<PeerKiller> make_killer() = 0;
 };
 
 }  // namespace mpl

@@ -21,17 +21,18 @@
 namespace runner::ctr {
 
 /// Which layer of the stack produces the counter. Host counters are
-/// transport syscall costs (vary with TMK_TRANSPORT/TMK_FABRIC_BURST);
-/// DSM counters are protocol observables, burst- and transport-
-/// invariant by construction. The JSON writer groups columns by layer,
-/// preserving the historical key order.
+/// ring-mesh publish and wake costs (they vary with the host schedule
+/// and TMK_FABRIC_BURST); DSM counters are protocol observables,
+/// computed above the transport and burst-invariant by construction.
+/// The JSON writer groups columns by layer, preserving the historical
+/// key order.
 enum class Layer : std::uint8_t { kHost, kDsm };
 
 /// How per-rank values combine into the run-level total.
 enum class Agg : std::uint8_t { kSum, kMax };
 
 enum class Id : std::uint8_t {
-  kHostSendCalls,   // transport publishes / send syscalls
+  kHostSendCalls,   // transport publishes (doorbell bumps)
   kHostFutexWakes,  // send-side FUTEX_WAKE syscalls
   kDiffRequests,    // diff pull round trips
   kDiffReplies,

@@ -139,14 +139,10 @@ void write_report(int fd, const ProcReport& r) {
                              int report_fd) {
   ProcReport report;
   report.rank = static_cast<std::uint32_t>(rank);
-  // A send to a peer that died mid-run must surface as EPIPE — an
-  // unwindable error that still delivers this rank's report — rather
-  // than a silent SIGPIPE death.
-  signal(SIGPIPE, SIG_IGN);
   try {
     mpl::Endpoint endpoint(fabric, rank, options.model);
     {
-      // Close every descriptor that is not ours.
+      // Drop the parent-side region handle; the endpoint owns its view.
       mpl::Fabric discard = std::move(fabric);
       (void)discard;
     }
@@ -204,8 +200,8 @@ void aggregate_reports(RunResult& result, std::uint64_t wall_start_ns,
 }
 
 /// Thread backend: every rank is a std::thread of this process, with a
-/// private heap mapping at its own address range and the in-process
-/// ring transport. No fork, no fds, no report pipes — reports are
+/// private heap mapping at its own address range and the ring mesh in a
+/// process-private region. No fork, no report pipes — reports are
 /// written in place and published by the thread join.
 RunResult spawn_threads(int nprocs, const SpawnOptions& options,
                         const tmk::Config& config, const ChildFn& fn) {
@@ -301,7 +297,7 @@ RunResult spawn_threads(int nprocs, const SpawnOptions& options,
       ++finished;
       if (rep.ok != 1 && first_failed < 0) {
         first_failed = rank;
-        if (killer) killer->poison(rank);
+        killer->poison(rank);
       }
       cv.notify_all();
     });
@@ -391,9 +387,9 @@ RunResult spawn(int nprocs, const SpawnOptions& options, const ChildFn& fn) {
     pids[static_cast<std::size_t>(rank)] = pid;
   }
 
-  // Parent: build the death-propagation handle (it takes over the shm
-  // region view / the poison-pipe write ends), then close all remaining
-  // fabric state and write ends so children own the mesh.
+  // Parent: build the death-propagation handle (it takes over the
+  // parent's view of the ring region), then drop the remaining fabric
+  // state and the report pipes' write ends so the children own them.
   std::unique_ptr<mpl::PeerKiller> killer = fabric.make_peer_killer();
   {
     mpl::Fabric discard = std::move(fabric);
@@ -470,7 +466,7 @@ RunResult spawn(int nprocs, const SpawnOptions& options, const ChildFn& fn) {
       }
       if (off == sizeof(ProcReport) && rep.ok != 1 && failed_rank < 0) {
         failed_rank = rank;
-        if (killer) killer->poison(rank);
+        killer->poison(rank);
         deadline.arm_grace(kPoisonGraceSec);
       }
     }

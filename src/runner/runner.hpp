@@ -6,19 +6,19 @@
 //   Backend::kProcess (the original): forks one child per rank. Before
 //   forking, the harness maps the DSM shared heap (so every child
 //   inherits it at the same virtual address — the zero-page invariant
-//   of tmk/runtime.hpp) and builds the fabric. Each child adopts its
-//   endpoint, executes the supplied function, and reports a fixed-size
-//   result record through a pipe; children leave via _exit().
+//   of tmk/runtime.hpp) and the MAP_SHARED ring region
+//   (mpl::ShmTransport). Each child adopts its endpoint, executes the
+//   supplied function, and reports a fixed-size result record through
+//   a pipe; children leave via _exit().
 //
 //   Backend::kThread: runs each rank as a std::thread of the calling
 //   process — no fork, no exec, no fd inheritance. Each rank gets its
 //   own private heap mapping at a distinct address range (the
 //   process-wide SIGSEGV handler dispatches faults by address to the
-//   owning rank's DSM runtime), and the mesh is the in-process ring
-//   transport (mpl::InprocTransport) regardless of the requested
-//   transport. Fast to launch and — unlike fork — visible to
-//   ThreadSanitizer as ONE program, which is what lets CI race-check
-//   the full coherence protocol.
+//   owning rank's DSM runtime), and the ring mesh lives in a
+//   process-private region (mpl::InprocTransport). Fast to launch and
+//   — unlike fork — visible to ThreadSanitizer as ONE program, which is
+//   what lets CI race-check the full coherence protocol.
 //
 // Either way the caller aggregates per-rank virtual times, CPU times,
 // and message counters into a RunResult, and never participates in the
@@ -78,7 +78,7 @@ static_assert(std::is_trivially_copyable_v<ProcReport>);
 struct RunResult {
   int nprocs = 0;
   Backend backend = Backend::kProcess;
-  mpl::TransportKind transport = mpl::TransportKind::kSocket;
+  mpl::TransportKind transport = mpl::TransportKind::kShm;
   tmk::Config config{};            // the knob snapshot every rank ran with
   double checksum = 0.0;           // proc 0's checksum
   std::uint64_t max_vt_ns = 0;     // modelled parallel execution time
@@ -128,14 +128,11 @@ struct SpawnOptions {
   simx::MachineModel model = simx::MachineModel::sp2();
   std::size_t shared_heap_bytes = 512ull * 1024 * 1024;
   int timeout_sec = 600;  // watchdog: kill and fail the run if exceeded
-  /// Interconnect the mesh is built on. The modelled results are
-  /// transport-invariant; only host-side cost differs. Defaults to
-  /// TMK_TRANSPORT=socket|shm|inproc when set, else the socket backend.
-  /// The thread backend always runs on the in-process ring transport;
-  /// any other request is coerced (and RunResult.transport records the
-  /// coercion). The process backends reject kInproc — a process-private
-  /// mesh cannot cross a fork.
-  mpl::TransportKind transport = mpl::transport_from_env();
+  /// Where the ring mesh lives; the backend fixes it. The process
+  /// backend runs on kShm and rejects kInproc (a process-private region
+  /// cannot cross a fork); the thread backend coerces every value to
+  /// kInproc, and RunResult.transport records the coercion.
+  mpl::TransportKind transport = mpl::TransportKind::kShm;
   /// Execution backend for the ranks. Defaults to TMK_BACKEND=
   /// process|thread when set, else forked processes.
   Backend backend = backend_from_env();

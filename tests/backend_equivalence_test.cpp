@@ -1,12 +1,12 @@
 // Cross-backend invariance suite: forked processes vs rank threads.
 //
 // The thread backend changes everything host-visible about a run — no
-// fork, per-rank heaps at distinct addresses, an in-process ring mesh,
-// SIGSEGV faults dispatched by address instead of by process — and
-// nothing modelled: the Endpoint core and the DSM protocol above it
-// are identical. So, exactly like the cross-transport suite (PR 3),
-// the modelled results must be backend-invariant, with the strongest
-// invariant each protocol admits:
+// fork, per-rank heaps at distinct addresses, the ring mesh in a
+// private region instead of an inherited MAP_SHARED one, SIGSEGV
+// faults dispatched by address instead of by process — and nothing
+// modelled: the Endpoint core and the DSM protocol above it are
+// identical. So the modelled results must be backend-invariant, with
+// the strongest invariant each protocol admits:
 //
 //  - Message-passing variants (kPvme) have a FIXED communication
 //    schedule: checksums, per-layer message/byte counters, and
@@ -15,7 +15,10 @@
 //  - TreadMarks variants are asserted checksum-identical per rank,
 //    plus a controlled protocol run asserting the barrier/lock/fault
 //    digest. Traffic totals stay schedule-dependent (lazy diff
-//    flushing) on ANY backend, so they are not compared bit-wise.
+//    flushing: one flush covers every interval closed before the first
+//    request arrives, so a request racing the writer's next barrier can
+//    save or cost a message run-to-run) on ANY backend, so they are not
+//    compared bit-wise.
 //
 // Also here: the regression test for the fault-dispatch path — many
 // rank threads taking SIGSEGVs concurrently on their own heaps, each
@@ -36,9 +39,9 @@
 
 namespace {
 
-/// Deterministic model, as in the cross-transport suite: SP/2 protocol
-/// constants, measured host CPU scaled to zero — the virtual clock
-/// depends only on the protocol event sequence.
+/// Deterministic model: SP/2 protocol constants, measured host CPU
+/// scaled to zero — the virtual clock depends only on the protocol
+/// event sequence.
 runner::SpawnOptions det_options(runner::Backend b) {
   runner::SpawnOptions o;
   o.model = simx::MachineModel::sp2();
@@ -46,11 +49,6 @@ runner::SpawnOptions det_options(runner::Backend b) {
   o.shared_heap_bytes = 256ull << 20;
   o.timeout_sec = 300;
   o.backend = b;
-  // Canonical transport per backend; the modelled results do not
-  // depend on it (transport_equivalence_test), so any choice here
-  // compares backend against backend only.
-  o.transport = b == runner::Backend::kThread ? mpl::TransportKind::kInproc
-                                              : mpl::TransportKind::kSocket;
   return o;
 }
 
@@ -137,10 +135,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // TMK_FABRIC_BURST changes only host-side publish batching; the
 // modelled results must be bit-identical with it on and off, on the
-// thread backend's inproc mesh just as on the fork meshes (the
-// cross-transport suite covers socket/shm). The env var is read at
-// transport construction, so toggling it between spawns — including
-// between thread-backend spawns in one process — takes effect.
+// thread backend's inproc mesh just as on the forked shm mesh (the
+// cross-transport suite sweeps every registry workload on shm). The
+// env var is read at transport construction, so toggling it between
+// spawns — including between thread-backend spawns in one process —
+// takes effect.
 class BurstInvariance
     : public ::testing::TestWithParam<std::tuple<Case, runner::Backend>> {};
 
@@ -200,9 +199,10 @@ TEST(BurstInvarianceDsm, ThreadBackendChecksumsBurstInvariant) {
 
 // ---- epoch-GC invariance across backends ------------------------------
 
-// Same bit-stable ring schedule as the cross-transport epoch-GC legs:
-// fresh slice per round, so lazy-diff flush coverage has nothing left
-// to vary on and the collector's wire additions are the only variable.
+// Barrier-phased ring producer/consumer with a fresh slice per round:
+// each round's pull fetches exactly one closed unflushed interval, so
+// lazy-diff flush coverage has nothing left to vary on and the
+// collector's wire additions are the only variable.
 double gc_ring_schedule(runner::ChildContext& c) {
   tmk::Runtime rt(c);
   const int me = rt.rank();
@@ -223,9 +223,9 @@ double gc_ring_schedule(runner::ChildContext& c) {
 }
 
 // TMK_EPOCH_GC=off vs an enabled-but-idle collector (first GC round
-// beyond the run) on the thread backend's inproc mesh — the third
-// transport's leg of the off==pre-GC bit-identity contract (socket and
-// shm live in the cross-transport suite).
+// beyond the run) on the thread backend's inproc mesh — the second
+// transport's leg of the off==pre-GC bit-identity contract (the shm
+// leg lives in the cross-transport suite).
 TEST(EpochGcIdleIdentity, OffIsBitIdenticalToIdleCollectorOnThreadMesh) {
   runner::RunResult on, off;
   {
@@ -257,7 +257,7 @@ TEST(EpochGcIdleIdentity, OffIsBitIdenticalToIdleCollectorOnThreadMesh) {
         << "rank " << i;
 }
 
-// Active collector (interval 4), forked socket mesh vs thread inproc
+// Active collector (interval 4), forked shm mesh vs thread inproc
 // mesh: the horizon piggyback, the validation fetches, and the
 // reclamation counters must be backend-invariant.
 class EpochGcActiveBackendInvariance
@@ -297,9 +297,10 @@ INSTANTIATE_TEST_SUITE_P(OnOff, EpochGcActiveBackendInvariance,
 // ---- controlled tmk protocol run --------------------------------------
 
 // Fixed barrier/lock/shared-write schedule with deterministic protocol
-// event counts (the cross-transport twin of this test explains why
-// message totals are excluded): the per-rank digest of barriers, lock
-// acquires, and write faults must match across backends.
+// event counts: the per-rank digest of barriers, lock acquires, and
+// write faults must match across backends. (Message totals are not
+// compared: the manager-side lock chaining makes self-forwards, which
+// are uncounted, contention-order-dependent on either backend.)
 constexpr int kProcs = 4;
 constexpr int kRounds = 5;
 

@@ -34,12 +34,10 @@ TEST(BenchSmoke, ScaleSweepAppends64And128RowsWithBackendColumns) {
       fs::temp_directory_path() /
       ("tmk_bench_smoke." + std::to_string(::getpid()));
   fs::create_directories(dir);
-  // Scrub the suite's own TMK_TRANSPORT/TMK_BACKEND (the ctest legs set
-  // them): the sweep under test is the thread backend's, and a fork
-  // transport in the environment would (correctly) be rejected as
-  // contradicting --backend=thread.
+  // Scrub the suite's own TMK_BACKEND (the ctest legs set it): the sweep
+  // under test is the thread backend's, whatever the leg's backend.
   const std::string cmd =
-      "cd '" + dir.string() + "' && env -u TMK_TRANSPORT -u TMK_BACKEND '" +
+      "cd '" + dir.string() + "' && env -u TMK_BACKEND '" +
       bench.string() +
       "' --backend=thread --nprocs-list=64,128"
       " --benchmark_filter='jacobi/Tmk' > bench.log 2>&1";
@@ -98,7 +96,7 @@ TEST(BenchSmoke, JsonRowColumnOrderIsPinned) {
       ("tmk_bench_cols." + std::to_string(::getpid()));
   fs::create_directories(dir);
   const std::string cmd =
-      "cd '" + dir.string() + "' && env -u TMK_TRANSPORT -u TMK_BACKEND '" +
+      "cd '" + dir.string() + "' && env -u TMK_BACKEND '" +
       bench.string() +
       "' --backend=thread --nprocs-list=2"
       " --benchmark_filter='jacobi/Tmk' > bench.log 2>&1";

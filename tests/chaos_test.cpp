@@ -25,12 +25,11 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-runner::SpawnOptions chaos_options(mpl::TransportKind t, runner::Backend b) {
+runner::SpawnOptions chaos_options(runner::Backend b) {
   runner::SpawnOptions o;
   o.model = simx::MachineModel::zero_cost();
   o.shared_heap_bytes = 16ull << 20;
   o.timeout_sec = 90;  // far beyond any acceptable unwind time
-  o.transport = t;
   o.backend = b;
   return o;
 }
@@ -101,12 +100,12 @@ TEST(FaultPlan, RejectsTyposInsteadOfRunningFaultFree) {
 /// Kills the plan's victim entering its second barrier on a 32-rank
 /// mesh and requires: spawn throws promptly (survivors unwound by
 /// poison, not the 90 s watchdog) and the diagnostic names the victim.
-void expect_death_blamed(mpl::TransportKind t, runner::Backend b,
-                         const char* plan, const std::string& victim_label) {
+void expect_death_blamed(runner::Backend b, const char* plan,
+                         const std::string& victim_label) {
   test::EnvGuard fault("TMK_FAULT_INJECT", plan);
   const auto t0 = Clock::now();
   try {
-    runner::spawn(32, chaos_options(t, b), barrier_workload);
+    runner::spawn(32, chaos_options(b), barrier_workload);
     FAIL() << "spawn should have thrown under plan " << plan;
   } catch (const common::Error& e) {
     const std::string msg = e.what();
@@ -116,13 +115,8 @@ void expect_death_blamed(mpl::TransportKind t, runner::Backend b,
       << "survivors were not unwound within the poison grace";
 }
 
-TEST(Chaos, DeathMidBarrierSocketProcess) {
-  expect_death_blamed(mpl::TransportKind::kSocket, runner::Backend::kProcess,
-                      "seed=9,rank=any,exit-at-barrier=2,hard=1", "proc 9");
-}
-
 TEST(Chaos, DeathMidBarrierShmProcess) {
-  expect_death_blamed(mpl::TransportKind::kShm, runner::Backend::kProcess,
+  expect_death_blamed(runner::Backend::kProcess,
                       "seed=21,rank=any,exit-at-barrier=2,hard=1", "proc 21");
 }
 
@@ -133,9 +127,7 @@ TEST(Chaos, DeathMidBarrierInprocThread) {
   test::EnvGuard fault("TMK_FAULT_INJECT", "rank=11,exit-at-barrier=2");
   const auto t0 = Clock::now();
   try {
-    runner::spawn(32,
-                  chaos_options(mpl::TransportKind::kInproc,
-                                runner::Backend::kThread),
+    runner::spawn(32, chaos_options(runner::Backend::kThread),
                   barrier_workload);
     FAIL() << "spawn should have thrown";
   } catch (const common::Error& e) {
@@ -160,7 +152,7 @@ TEST(Chaos, DeathMidBarrierWithHybridPushesStaged) {
   // every page's consumer set is all peers) the predictor has armed and
   // the victim has live staged pushes and cached count tables.
   test::EnvGuard mode("TMK_UPDATE_MODE", "hybrid");
-  expect_death_blamed(mpl::TransportKind::kShm, runner::Backend::kProcess,
+  expect_death_blamed(runner::Backend::kProcess,
                       "seed=17,rank=any,exit-at-barrier=3,hard=1", "proc 17");
 }
 
@@ -174,9 +166,7 @@ TEST(Chaos, CrashDuringPushSendsHybridProcess) {
   test::EnvGuard fault("TMK_FAULT_INJECT", "rank=3,crash-at-send=40,hard=1");
   const auto t0 = Clock::now();
   try {
-    runner::spawn(16,
-                  chaos_options(mpl::TransportKind::kShm,
-                                runner::Backend::kProcess),
+    runner::spawn(16, chaos_options(runner::Backend::kProcess),
                   barrier_workload);
     FAIL() << "spawn should have thrown";
   } catch (const common::Error& e) {
@@ -193,9 +183,7 @@ TEST(Chaos, CrashDuringPushSendsThreadBackend) {
   test::EnvGuard mode("TMK_UPDATE_MODE", "hybrid");
   test::EnvGuard fault("TMK_FAULT_INJECT", "rank=5,crash-at-send=40");
   try {
-    runner::spawn(16,
-                  chaos_options(mpl::TransportKind::kInproc,
-                                runner::Backend::kThread),
+    runner::spawn(16, chaos_options(runner::Backend::kThread),
                   barrier_workload);
     FAIL() << "spawn should have thrown";
   } catch (const common::Error& e) {
@@ -211,9 +199,7 @@ TEST(Chaos, CrashAtNthSendShmProcess) {
   test::EnvGuard fault("TMK_FAULT_INJECT", "rank=1,crash-at-send=3,hard=1");
   const auto t0 = Clock::now();
   try {
-    runner::spawn(4,
-                  chaos_options(mpl::TransportKind::kShm,
-                                runner::Backend::kProcess),
+    runner::spawn(4, chaos_options(runner::Backend::kProcess),
                   barrier_workload);
     FAIL() << "spawn should have thrown";
   } catch (const common::Error& e) {
@@ -227,9 +213,7 @@ TEST(Chaos, CrashAtNthSendShmProcess) {
 TEST(Chaos, CrashAtNthSendThreadBackend) {
   test::EnvGuard fault("TMK_FAULT_INJECT", "rank=2,crash-at-send=5");
   try {
-    runner::spawn(4,
-                  chaos_options(mpl::TransportKind::kInproc,
-                                runner::Backend::kThread),
+    runner::spawn(4, chaos_options(runner::Backend::kThread),
                   barrier_workload);
     FAIL() << "spawn should have thrown";
   } catch (const common::Error& e) {
@@ -240,8 +224,7 @@ TEST(Chaos, CrashAtNthSendThreadBackend) {
 }
 
 TEST(Chaos, DelayBeforePublishStragglesButMatchesCleanRun) {
-  const auto opts = chaos_options(mpl::TransportKind::kInproc,
-                                  runner::Backend::kThread);
+  const auto opts = chaos_options(runner::Backend::kThread);
   const auto clean = runner::spawn(4, opts, barrier_workload);
   test::EnvGuard fault("TMK_FAULT_INJECT",
                        "rank=1,delay-before-publish=150@2");
@@ -254,8 +237,7 @@ TEST(Chaos, DelayBeforePublishStragglesButMatchesCleanRun) {
 }
 
 TEST(Chaos, PlanForAbsentRankLeavesModelledResultsUntouched) {
-  const auto opts = chaos_options(mpl::TransportKind::kInproc,
-                                  runner::Backend::kThread);
+  const auto opts = chaos_options(runner::Backend::kThread);
   const auto base = runner::spawn(4, opts, barrier_workload);
   // Victim rank 99 is outside this 4-rank mesh: injection is compiled
   // in and the plan parses, but nobody installs an injector — the
@@ -275,11 +257,11 @@ TEST(Chaos, PlanForAbsentRankLeavesModelledResultsUntouched) {
 /// Rank 1 wedges (sleeps) instead of reaching the barrier; rank 0's
 /// fan-in wait must expire at TMK_WAIT_DEADLINE_MS and the error must
 /// carry the blocked rank's id and the wait site on either backend.
-void expect_barrier_wedge_blamed(mpl::TransportKind t, runner::Backend b) {
+void expect_barrier_wedge_blamed(runner::Backend b) {
   test::EnvGuard deadline("TMK_WAIT_DEADLINE_MS", "1500");
   const auto t0 = Clock::now();
   try {
-    runner::spawn(2, chaos_options(t, b), [](runner::ChildContext& c) {
+    runner::spawn(2, chaos_options(b), [](runner::ChildContext& c) {
       tmk::Runtime rt(c);
       if (rt.rank() == 1)
         std::this_thread::sleep_for(std::chrono::seconds(5));
@@ -297,22 +279,20 @@ void expect_barrier_wedge_blamed(mpl::TransportKind t, runner::Backend b) {
 }
 
 TEST(ChaosBlame, BarrierWedgeProcessBackend) {
-  expect_barrier_wedge_blamed(mpl::TransportKind::kShm,
-                              runner::Backend::kProcess);
+  expect_barrier_wedge_blamed(runner::Backend::kProcess);
 }
 
 TEST(ChaosBlame, BarrierWedgeThreadBackend) {
-  expect_barrier_wedge_blamed(mpl::TransportKind::kInproc,
-                              runner::Backend::kThread);
+  expect_barrier_wedge_blamed(runner::Backend::kThread);
 }
 
 /// Rank 1 takes the lock and sits on it; rank 0's acquire must expire
 /// at the deadline naming the lock, its manager, and the blocked rank.
-void expect_lock_wedge_blamed(mpl::TransportKind t, runner::Backend b) {
+void expect_lock_wedge_blamed(runner::Backend b) {
   test::EnvGuard deadline("TMK_WAIT_DEADLINE_MS", "1500");
   const auto t0 = Clock::now();
   try {
-    runner::spawn(2, chaos_options(t, b), [](runner::ChildContext& c) {
+    runner::spawn(2, chaos_options(b), [](runner::ChildContext& c) {
       tmk::Runtime rt(c);
       if (rt.rank() == 1) {
         rt.lock_acquire(0);
@@ -338,13 +318,11 @@ void expect_lock_wedge_blamed(mpl::TransportKind t, runner::Backend b) {
 }
 
 TEST(ChaosBlame, LockWedgeProcessBackend) {
-  expect_lock_wedge_blamed(mpl::TransportKind::kSocket,
-                           runner::Backend::kProcess);
+  expect_lock_wedge_blamed(runner::Backend::kProcess);
 }
 
 TEST(ChaosBlame, LockWedgeThreadBackend) {
-  expect_lock_wedge_blamed(mpl::TransportKind::kInproc,
-                           runner::Backend::kThread);
+  expect_lock_wedge_blamed(runner::Backend::kThread);
 }
 
 }  // namespace

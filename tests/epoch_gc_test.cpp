@@ -92,7 +92,7 @@ TEST(EpochSoak, GcOffReclaimsNothingAndKeepsTheChecksum) {
   EXPECT_EQ(r.ctr(Id::kIntervalsReclaimed), 0u);
 }
 
-// ---- accounting invariant: both backends, all three transports -------
+// ---- accounting invariant: both backends ------------------------------
 
 class EpochGcAccounting
     : public ::testing::TestWithParam<
@@ -120,14 +120,10 @@ TEST_P(EpochGcAccounting, BalancesOnEveryRank) {
 INSTANTIATE_TEST_SUITE_P(
     BackendsTransports, EpochGcAccounting,
     ::testing::Values(
-        std::make_tuple(runner::Backend::kProcess,
-                        mpl::TransportKind::kSocket, true),
         std::make_tuple(runner::Backend::kProcess, mpl::TransportKind::kShm,
                         true),
         std::make_tuple(runner::Backend::kThread, mpl::TransportKind::kInproc,
                         true),
-        std::make_tuple(runner::Backend::kProcess,
-                        mpl::TransportKind::kSocket, false),
         std::make_tuple(runner::Backend::kProcess, mpl::TransportKind::kShm,
                         false),
         std::make_tuple(runner::Backend::kThread, mpl::TransportKind::kInproc,
@@ -314,7 +310,6 @@ TEST(EpochGcSoak64, FlatFootprintOverThousandsOfEpochs) {
   runner::SpawnOptions opts;
   opts.model = simx::MachineModel::zero_cost();
   opts.backend = runner::Backend::kThread;
-  opts.transport = mpl::TransportKind::kInproc;
   opts.shared_heap_bytes = 4ull << 20;  // 64 rank heaps in one process
   opts.timeout_sec = 540;
   opts.tmk_config = gc_config(true, 64);

@@ -61,20 +61,19 @@ TEST(Counters, PlusEquals) {
 
 // ---- multi-process transport behaviour -------------------------------
 
-/// Every multi-process transport test runs on all three backends: the
-/// delivery contract (framing, ordering, reassembly, counters, virtual
-/// time) is transport-invariant by design, and this suite is what
-/// enforces it. The inproc mesh only exists inside one address space,
-/// so its leg runs the ranks on the thread backend.
+/// Every multi-process transport test runs on both ring placements:
+/// the MAP_SHARED region forked ranks inherit (shm) and the private
+/// region rank threads share (inproc). The delivery contract (framing,
+/// ordering, reassembly, counters, virtual time) must hold on each.
 class EndpointTest : public ::testing::TestWithParam<mpl::TransportKind> {
  protected:
   [[nodiscard]] runner::SpawnOptions popts() const {
     runner::SpawnOptions o = fast_options();
     o.transport = GetParam();
-    // Pin the backend each transport actually exists on: otherwise a
-    // TMK_BACKEND=thread environment would coerce the socket/shm legs
-    // to inproc and this suite would test one transport three times
-    // while its test names claim otherwise.
+    // Pin the backend each placement exists on: otherwise a
+    // TMK_BACKEND=thread environment would coerce the shm leg to inproc
+    // and this suite would test one placement twice while its test
+    // names claim otherwise.
     o.backend = o.transport == mpl::TransportKind::kInproc
                     ? runner::Backend::kThread
                     : runner::Backend::kProcess;
@@ -84,8 +83,7 @@ class EndpointTest : public ::testing::TestWithParam<mpl::TransportKind> {
 
 INSTANTIATE_TEST_SUITE_P(
     Transports, EndpointTest,
-    ::testing::Values(mpl::TransportKind::kSocket, mpl::TransportKind::kShm,
-                      mpl::TransportKind::kInproc),
+    ::testing::Values(mpl::TransportKind::kShm, mpl::TransportKind::kInproc),
     [](const ::testing::TestParamInfo<mpl::TransportKind>& info) {
       return std::string(mpl::to_string(info.param));
     });
@@ -124,8 +122,8 @@ TEST_P(EndpointTest, LargeMessageChunksReassemble) {
   EXPECT_DOUBLE_EQ(result.procs[1].checksum, 1.0);
 }
 
-// Chunk-boundary property: payloads straddling SEQPACKET datagram
-// limits — one byte under/at/over kMaxChunk and multi-chunk sizes —
+// Chunk-boundary property: payloads straddling the datagram chunk
+// limit — one byte under/at/over kMaxChunk and multi-chunk sizes —
 // must reassemble bit-exactly on the app channel.
 TEST_P(EndpointTest, ChunkBoundaryPayloadsReassemble) {
   const std::size_t sizes[] = {mpl::kMaxChunk - 1, mpl::kMaxChunk,
@@ -347,15 +345,11 @@ TEST_P(EndpointTest, VirtualTimeAccumulatesAlongChain) {
 }
 
 
-// Full-width fan-in: kMaxProcs (128) ranks on the thread backend's
-// inproc mesh — the configuration the 64/128 scale sweeps run — and 32
-// forked processes on the fork transports (the socket path needs the
-// RLIMIT_NOFILE headroom bump and a 4*32^2 descriptor mesh; a 128-way
-// socket mesh would need 65k descriptors, past common hard limits, and
-// the fabric now rejects it loudly instead of wedging).
+// Full-width fan-in: kMaxProcs (128) ranks on either placement — 128
+// rank threads on the inproc mesh, or 128 forked processes on the shm
+// mesh.
 TEST_P(EndpointTest, ManyToOneFanInMaxProcs) {
-  const int n =
-      GetParam() == mpl::TransportKind::kInproc ? mpl::kMaxProcs : 32;
+  const int n = mpl::kMaxProcs;
   auto result = runner::spawn(n, popts(), [](runner::ChildContext& c) {
     auto& ep = c.endpoint;
     if (ep.rank() == 0) {

@@ -89,7 +89,7 @@ TEST(RaceStress, SameSeedSameReportSetAcrossRuns) {
   // plan each run; identical aggregate observables close the loop.
   // (Virtual times are deliberately not compared: DSM interrupt charges
   // land at host-timing-dependent virtual moments — same restriction as
-  // the transport-equivalence suite.)
+  // the backend-equivalence suite.)
   EXPECT_EQ(a.ctr(Id::kRaceReports), b.ctr(Id::kRaceReports));
   EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
 }
@@ -185,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, RacecheckClean,
 
 // Deterministic model for exact cross-run counter comparisons: SP/2
 // communication constants, measured host CPU scaled to zero. Same
-// recipe as the transport/update-mode equivalence suites.
+// recipe as the backend/update-mode equivalence suites.
 runner::SpawnOptions det_options(runner::Backend backend) {
   runner::SpawnOptions o;
   o.model = simx::MachineModel::sp2();
@@ -193,8 +193,6 @@ runner::SpawnOptions det_options(runner::Backend backend) {
   o.shared_heap_bytes = 64ull << 20;
   o.timeout_sec = 120;
   o.backend = backend;
-  if (backend == runner::Backend::kThread)
-    o.transport = mpl::TransportKind::kInproc;
   return o;
 }
 
@@ -282,8 +280,6 @@ TEST(RacecheckOff, ChecksumsMatchUnsetAcrossAllSixWorkloads) {
       const std::any& params = w.params(w.test_preset);
       runner::SpawnOptions opts = fast_options();
       opts.backend = backend;
-      if (backend == runner::Backend::kThread)
-        opts.transport = mpl::TransportKind::kInproc;
       runner::RunResult unset, off;
       {
         const test::RacecheckEnv guard;  // unset

@@ -77,6 +77,19 @@ TEST(Runner, HeapInheritedAtSameAddressAndZeroed) {
     EXPECT_DOUBLE_EQ(p.checksum, r.procs[0].checksum);
 }
 
+// The process backend's ranks run on the ring mesh in the MAP_SHARED
+// region they inherit: the default options pick it without being told.
+TEST(Runner, ProcessBackendRunsOnTheShmRingMesh) {
+  auto opts = fast_options();
+  opts.backend = runner::Backend::kProcess;
+  auto r = runner::spawn(2, opts, [](runner::ChildContext& c) {
+    return c.endpoint.transport_kind() == mpl::TransportKind::kShm ? 1.0
+                                                                   : 0.0;
+  });
+  EXPECT_EQ(r.transport, mpl::TransportKind::kShm);
+  for (const auto& p : r.procs) EXPECT_DOUBLE_EQ(p.checksum, 1.0);
+}
+
 // A line the parent buffered before the spawn appears once in its
 // stream, not once more per forked rank (each rank flushes its stdio
 // before _exit, which would replay an inherited unflushed buffer).
@@ -204,7 +217,7 @@ TEST(RunnerThread, RanksRunAsThreadsWithDistinctZeroedHeaps) {
 
 TEST(RunnerThread, CoercesTransportToInproc) {
   auto opts = thread_options();
-  opts.transport = mpl::TransportKind::kSocket;
+  opts.transport = mpl::TransportKind::kShm;
   auto r = runner::spawn(2, opts, [](runner::ChildContext& c) {
     return c.endpoint.transport_kind() == mpl::TransportKind::kInproc ? 1.0
                                                                       : 0.0;

@@ -30,7 +30,6 @@ runner::SpawnOptions thread_options() {
   o.shared_heap_bytes = 8ull << 20;
   o.timeout_sec = 300;
   o.backend = runner::Backend::kThread;
-  o.transport = mpl::TransportKind::kInproc;
   return o;
 }
 

@@ -3,31 +3,38 @@
 // The point of the Transport split is that the interconnect is
 // invisible to the modelled system: what the paper reports — checksums,
 // message and byte counts, modelled execution times — must not depend
-// on whether datagrams crossed socketpairs or shared-memory rings.
-// This suite runs registry workloads on both backends under a
-// deterministic model (communication constants from the SP/2 model,
-// compute scaled to zero so host timing noise cannot enter the virtual
-// clock) and asserts the strongest invariant each protocol admits:
+// on where the ring mesh lives or how its publishes are batched. There
+// are two placements, and the runner backend picks one: a MAP_SHARED
+// region the process backend's forked ranks inherit (shm), or a
+// process-private region the thread backend's rank threads share
+// (inproc). This suite runs every registry workload, at its first
+// checksum size, on both placements and with TMK_FABRIC_BURST on and
+// off, under a deterministic model (communication constants from the
+// SP/2 model, compute scaled to zero so host timing noise cannot enter
+// the virtual clock) and asserts the strongest invariant each protocol
+// admits:
 //
 //  - Message-passing variants (kPvme) have a FIXED communication
-//    schedule, so everything is asserted bit-identical across
-//    transports: checksums, per-layer message/byte counters, and
-//    per-process virtual times.
-//  - TreadMarks variants are asserted checksum-identical, plus a
-//    controlled protocol run asserting barrier/lock/fault counts and
-//    message totals. Their full traffic totals are NOT compared
-//    bit-wise: lazy diff flushing makes them schedule-dependent on any
-//    transport (one flush covers every interval closed before the
-//    first request arrives, so a request racing the writer's next
-//    barrier can save or cost a message run-to-run), and lock-using
-//    workloads (fft, igrid, nbf) additionally order their reductions
-//    by contention order — for those the checksum contract against the
-//    sequential baseline (tolerance from the variant table) is the
-//    invariant.
+//    schedule, so everything is asserted bit-identical: checksums,
+//    per-layer message/byte counters, and per-process virtual times.
+//  - TreadMarks variants are asserted checksum-identical. Their full
+//    traffic totals are NOT compared bit-wise: lazy diff flushing
+//    makes them schedule-dependent on any transport (one flush covers
+//    every interval closed before the first request arrives, so a
+//    request racing the writer's next barrier can save or cost a
+//    message run-to-run), and lock-using workloads (fft, igrid, nbf)
+//    additionally order their reductions by contention order — for
+//    those the checksum contract against the sequential baseline
+//    (tolerance from the variant table) is the invariant.
+//
+// Because the placement follows the backend, backend_equivalence_test
+// makes the same shm-vs-inproc comparison on selected workloads, plus
+// the controlled tmk protocol run and the active epoch collector.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -44,84 +51,131 @@ namespace {
 
 /// Deterministic model: all communication/protocol charges are the
 /// SP/2 constants, but measured host CPU is multiplied by zero — the
-/// virtual clock then depends only on the protocol event sequence.
+/// virtual clock then depends only on the protocol event sequence. The
+/// backend that places the mesh on `t` runs the ranks.
 runner::SpawnOptions det_options(mpl::TransportKind t) {
   runner::SpawnOptions o;
   o.model = simx::MachineModel::sp2();
   o.model.cpu_scale = 0.0;
   o.shared_heap_bytes = 256ull << 20;
   o.timeout_sec = 300;
-  o.transport = t;
-  // This suite compares the two fork-mesh transports against each
-  // other; pin the process backend so a TMK_BACKEND=thread environment
-  // (which coerces every transport to inproc) cannot collapse the
-  // comparison into inproc-vs-inproc. The thread backend has its own
-  // equivalence suite (backend_equivalence_test).
-  o.backend = runner::Backend::kProcess;
+  o.backend = t == mpl::TransportKind::kInproc ? runner::Backend::kThread
+                                               : runner::Backend::kProcess;
   return o;
 }
 
+// Plain bytes with the workload key inline, as in
+// backend_equivalence_test: gtest prints an unprintable parameter as
+// its raw bytes into the listed test name, and a pointer's bytes change
+// with the heap layout.
 struct Case {
-  const apps::Workload* w = nullptr;
-  const apps::Variant* v = nullptr;
+  char key[8] = {};
+  apps::System system = apps::System::kSeq;
   int nprocs = 0;
-  /// Lock-order-dependent reductions: checksums differ run-to-run by
-  /// reassociation, so only the vs-sequential contract transfers.
-  bool lock_dependent = false;
+  /// Checksum tolerance vs the sequential baseline (variant table).
+  double tolerance = 0.0;
 };
 
+const apps::Workload& workload(const Case& c) {
+  return apps::find_workload(c.key);
+}
+
+/// Lock-order-dependent reductions: checksums differ run-to-run by
+/// reassociation, so only the vs-sequential contract transfers.
+bool lock_dependent(const Case& c) {
+  for (const char* k : {"fft", "igrid", "nbf"})
+    if (std::strcmp(c.key, k) == 0) return true;
+  return false;
+}
+
 std::string case_name(const Case& c) {
-  std::string s = c.w->key + "_";
-  for (const char* p = apps::to_string(c.v->system); *p != '\0'; ++p)
+  std::string s = std::string(c.key) + "_";
+  for (const char* p = apps::to_string(c.system); *p != '\0'; ++p)
     if (std::isalnum(static_cast<unsigned char>(*p)))
       s += static_cast<char>(std::tolower(static_cast<unsigned char>(*p)));
   return s + "_" + std::to_string(c.nprocs);
 }
 
+/// Every registry workload's `system` variant (or its first variant
+/// when it has none) at that variant's first checksum size.
+std::vector<Case> registry_cases(apps::System system, bool fallback) {
+  std::vector<Case> cases;
+  for (const apps::Workload& w : apps::all_workloads()) {
+    const apps::Variant* v = w.find(system);
+    if (v == nullptr && fallback) v = &w.variants.front();
+    if (v == nullptr || v->checksum_nprocs.empty()) continue;
+    Case c{};
+    std::strncpy(c.key, w.key.c_str(), sizeof(c.key) - 1);
+    c.system = v->system;
+    c.nprocs = v->checksum_nprocs.front();
+    c.tolerance = v->tolerance;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+runner::RunResult run_case(const Case& c, mpl::TransportKind t) {
+  const apps::Workload& w = workload(c);
+  const runner::RunResult r = apps::run_workload(
+      w, c.system, c.nprocs, det_options(t), w.params(w.test_preset));
+  EXPECT_EQ(r.transport, t) << c.key;
+  return r;
+}
+
+/// Lock-dependent DSM runs: each checksum must meet the vs-sequential
+/// contract on its own.
+void expect_matches_sequential(const Case& c, const runner::RunResult& r) {
+  const apps::Workload& w = workload(c);
+  const double expect = w.seq(w.params(w.test_preset), nullptr);
+  if (c.tolerance > 0)
+    EXPECT_TRUE(common::checksum_close(r.checksum, expect, c.tolerance))
+        << c.key << ": " << r.checksum << " vs " << expect;
+  else
+    EXPECT_DOUBLE_EQ(r.checksum, expect) << c.key;
+}
+
+void expect_same_checksums(const Case& c, const runner::RunResult& a,
+                           const runner::RunResult& b) {
+  for (int p = 0; p < c.nprocs; ++p)
+    EXPECT_DOUBLE_EQ(a.procs[static_cast<std::size_t>(p)].checksum,
+                     b.procs[static_cast<std::size_t>(p)].checksum)
+        << c.key << " proc " << p;
+}
+
+void expect_bit_identical(const Case& c, const runner::RunResult& a,
+                          const runner::RunResult& b) {
+  EXPECT_DOUBLE_EQ(a.checksum, b.checksum) << c.key;
+  EXPECT_EQ(a.max_vt_ns, b.max_vt_ns) << c.key;
+  for (std::size_t l = 0; l < a.total.messages.size(); ++l) {
+    EXPECT_EQ(a.total.messages[l], b.total.messages[l])
+        << c.key << " layer " << l;
+    EXPECT_EQ(a.total.bytes[l], b.total.bytes[l]) << c.key << " layer " << l;
+  }
+  for (int p = 0; p < c.nprocs; ++p)
+    EXPECT_EQ(a.procs[static_cast<std::size_t>(p)].vt_ns,
+              b.procs[static_cast<std::size_t>(p)].vt_ns)
+        << c.key << " proc " << p;
+  expect_same_checksums(c, a, b);
+}
+
 // ---- DSM variants: checksum invariance -------------------------------
 
 std::vector<Case> dsm_cases() {
-  const std::vector<std::string> lock_users = {"fft", "igrid", "nbf"};
-  std::vector<Case> cases;
-  for (const apps::Workload& w : apps::all_workloads()) {
-    const apps::Variant* v = w.find(apps::System::kTmk);
-    if (v == nullptr) v = &w.variants.front();
-    if (v->checksum_nprocs.empty()) continue;
-    const bool lock_dependent =
-        std::find(lock_users.begin(), lock_users.end(), w.key) !=
-        lock_users.end();
-    cases.push_back({&w, v, v->checksum_nprocs.front(), lock_dependent});
-  }
-  return cases;
+  return registry_cases(apps::System::kTmk, /*fallback=*/true);
 }
 
 class CrossTransportDsm : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CrossTransportDsm, ChecksumsAreTransportInvariant) {
   const Case c = GetParam();
-  const std::any& params = c.w->params(c.w->test_preset);
-  const auto socket = apps::run_workload(
-      *c.w, c.v->system, c.nprocs, det_options(mpl::TransportKind::kSocket),
-      params);
-  const auto shm = apps::run_workload(*c.w, c.v->system, c.nprocs,
-                                      det_options(mpl::TransportKind::kShm),
-                                      params);
-  if (c.lock_dependent) {
-    const double expect = c.w->seq(params, nullptr);
-    for (const auto* r : {&socket, &shm}) {
-      if (c.v->tolerance > 0)
-        EXPECT_TRUE(
-            common::checksum_close(r->checksum, expect, c.v->tolerance))
-            << c.w->key << ": " << r->checksum << " vs " << expect;
-      else
-        EXPECT_DOUBLE_EQ(r->checksum, expect) << c.w->key;
-    }
+  const auto shm = run_case(c, mpl::TransportKind::kShm);
+  const auto inproc = run_case(c, mpl::TransportKind::kInproc);
+  if (lock_dependent(c)) {
+    expect_matches_sequential(c, shm);
+    expect_matches_sequential(c, inproc);
     return;
   }
-  for (int p = 0; p < c.nprocs; ++p)
-    EXPECT_DOUBLE_EQ(socket.procs[static_cast<std::size_t>(p)].checksum,
-                     shm.procs[static_cast<std::size_t>(p)].checksum)
-        << c.w->key << " proc " << p;
+  expect_same_checksums(c, shm, inproc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, CrossTransportDsm,
@@ -133,42 +187,15 @@ INSTANTIATE_TEST_SUITE_P(Registry, CrossTransportDsm,
 // ---- message-passing variants: full bit-equality ---------------------
 
 std::vector<Case> mp_cases() {
-  std::vector<Case> cases;
-  for (const apps::Workload& w : apps::all_workloads()) {
-    const apps::Variant* v = w.find(apps::System::kPvme);
-    if (v == nullptr || v->checksum_nprocs.empty()) continue;
-    cases.push_back({&w, v, v->checksum_nprocs.front(), false});
-  }
-  return cases;
+  return registry_cases(apps::System::kPvme, /*fallback=*/false);
 }
 
 class CrossTransportMp : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CrossTransportMp, ModelledResultsAreBitIdentical) {
   const Case c = GetParam();
-  const std::any& params = c.w->params(c.w->test_preset);
-  const auto socket = apps::run_workload(
-      *c.w, c.v->system, c.nprocs, det_options(mpl::TransportKind::kSocket),
-      params);
-  const auto shm = apps::run_workload(*c.w, c.v->system, c.nprocs,
-                                      det_options(mpl::TransportKind::kShm),
-                                      params);
-  EXPECT_DOUBLE_EQ(socket.checksum, shm.checksum) << c.w->key;
-  EXPECT_EQ(socket.max_vt_ns, shm.max_vt_ns) << c.w->key;
-  for (std::size_t l = 0; l < socket.total.messages.size(); ++l) {
-    EXPECT_EQ(socket.total.messages[l], shm.total.messages[l])
-        << c.w->key << " layer " << l;
-    EXPECT_EQ(socket.total.bytes[l], shm.total.bytes[l])
-        << c.w->key << " layer " << l;
-  }
-  for (int p = 0; p < c.nprocs; ++p) {
-    EXPECT_EQ(socket.procs[static_cast<std::size_t>(p)].vt_ns,
-              shm.procs[static_cast<std::size_t>(p)].vt_ns)
-        << c.w->key << " proc " << p;
-    EXPECT_DOUBLE_EQ(socket.procs[static_cast<std::size_t>(p)].checksum,
-                     shm.procs[static_cast<std::size_t>(p)].checksum)
-        << c.w->key << " proc " << p;
-  }
+  expect_bit_identical(c, run_case(c, mpl::TransportKind::kShm),
+                       run_case(c, mpl::TransportKind::kInproc));
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, CrossTransportMp,
@@ -180,92 +207,56 @@ INSTANTIATE_TEST_SUITE_P(Registry, CrossTransportMp,
 // ---- burst-mode invariance: TMK_FABRIC_BURST on vs off ---------------
 
 // The burst fabric coalesces host-side publishes (staged ring frames,
-// vectored sends, one doorbell per burst) but must be invisible to the
-// modelled system: frame contents, delivery order per (sender, lane),
-// and hence every modelled counter, vector clock, and checksum are
-// bit-identical with bursting disabled — on every transport.
+// one doorbell per burst) but must be invisible to the modelled
+// system: frame contents, delivery order per (sender, lane), and hence
+// every modelled counter, vector clock, and checksum are bit-identical
+// with bursting disabled. Swept here on the forked shm mesh; the
+// inproc mesh's legs are BurstInvariance in backend_equivalence_test.
+runner::RunResult run_burst(const Case& c, mpl::TransportKind t, bool burst) {
+  test::BurstEnv env(burst);
+  return run_case(c, t);
+}
+
+std::string burst_case_name(const std::tuple<Case, mpl::TransportKind>& p) {
+  return case_name(std::get<0>(p)) + "_" + mpl::to_string(std::get<1>(p));
+}
+
 class BurstInvarianceMp
     : public ::testing::TestWithParam<std::tuple<Case, mpl::TransportKind>> {};
 
 TEST_P(BurstInvarianceMp, ModelledResultsAreBitIdentical) {
   const auto& [c, t] = GetParam();
-  const std::any& params = c.w->params(c.w->test_preset);
-  auto run = [&](bool burst) {
-    test::BurstEnv env(burst);
-    return apps::run_workload(*c.w, c.v->system, c.nprocs, det_options(t),
-                              params);
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  EXPECT_DOUBLE_EQ(on.checksum, off.checksum) << c.w->key;
-  EXPECT_EQ(on.max_vt_ns, off.max_vt_ns) << c.w->key;
-  for (std::size_t l = 0; l < on.total.messages.size(); ++l) {
-    EXPECT_EQ(on.total.messages[l], off.total.messages[l])
-        << c.w->key << " layer " << l;
-    EXPECT_EQ(on.total.bytes[l], off.total.bytes[l])
-        << c.w->key << " layer " << l;
-  }
-  for (int p = 0; p < c.nprocs; ++p) {
-    EXPECT_EQ(on.procs[static_cast<std::size_t>(p)].vt_ns,
-              off.procs[static_cast<std::size_t>(p)].vt_ns)
-        << c.w->key << " proc " << p;
-    EXPECT_DOUBLE_EQ(on.procs[static_cast<std::size_t>(p)].checksum,
-                     off.procs[static_cast<std::size_t>(p)].checksum)
-        << c.w->key << " proc " << p;
-  }
+  expect_bit_identical(c, run_burst(c, t, true), run_burst(c, t, false));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, BurstInvarianceMp,
     ::testing::Combine(::testing::ValuesIn(mp_cases()),
-                       ::testing::Values(mpl::TransportKind::kSocket,
-                                         mpl::TransportKind::kShm)),
-    [](const auto& info) {
-      return case_name(std::get<0>(info.param)) + "_" +
-             mpl::to_string(std::get<1>(info.param));
-    });
+                       ::testing::Values(mpl::TransportKind::kShm)),
+    [](const auto& info) { return burst_case_name(info.param); });
 
 class BurstInvarianceDsm
     : public ::testing::TestWithParam<std::tuple<Case, mpl::TransportKind>> {};
 
 TEST_P(BurstInvarianceDsm, ChecksumsAreBurstInvariant) {
   const auto& [c, t] = GetParam();
-  const std::any& params = c.w->params(c.w->test_preset);
-  auto run = [&](bool burst) {
-    test::BurstEnv env(burst);
-    return apps::run_workload(*c.w, c.v->system, c.nprocs, det_options(t),
-                              params);
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  if (c.lock_dependent) {
+  const auto on = run_burst(c, t, true);
+  const auto off = run_burst(c, t, false);
+  if (lock_dependent(c)) {
     // Reduction order is contention-dependent either way; both modes
     // must still satisfy the vs-sequential contract.
-    const double expect = c.w->seq(params, nullptr);
-    for (const auto* r : {&on, &off}) {
-      if (c.v->tolerance > 0)
-        EXPECT_TRUE(common::checksum_close(r->checksum, expect, c.v->tolerance))
-            << c.w->key << ": " << r->checksum << " vs " << expect;
-      else
-        EXPECT_DOUBLE_EQ(r->checksum, expect) << c.w->key;
-    }
+    expect_matches_sequential(c, on);
+    expect_matches_sequential(c, off);
     return;
   }
-  for (int p = 0; p < c.nprocs; ++p)
-    EXPECT_DOUBLE_EQ(on.procs[static_cast<std::size_t>(p)].checksum,
-                     off.procs[static_cast<std::size_t>(p)].checksum)
-        << c.w->key << " proc " << p;
+  expect_same_checksums(c, on, off);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, BurstInvarianceDsm,
     ::testing::Combine(::testing::ValuesIn(dsm_cases()),
-                       ::testing::Values(mpl::TransportKind::kSocket,
-                                         mpl::TransportKind::kShm)),
-    [](const auto& info) {
-      return case_name(std::get<0>(info.param)) + "_" +
-             mpl::to_string(std::get<1>(info.param));
-    });
+                       ::testing::Values(mpl::TransportKind::kShm)),
+    [](const auto& info) { return burst_case_name(info.param); });
 
 // ---- epoch-GC wire invariance ----------------------------------------
 
@@ -299,7 +290,9 @@ double gc_ring_schedule(runner::ChildContext& c) {
 // wire — same message AND byte counts at every layer, same DSM
 // counters, same per-rank checksums. This is the machine-checkable
 // half of the off==pre-GC contract: every non-GC barrier is
-// byte-identical to the GC-off protocol.
+// byte-identical to the GC-off protocol. The inproc leg is
+// EpochGcIdleIdentity.OffIsBitIdenticalToIdleCollectorOnThreadMesh in
+// backend_equivalence_test.
 class EpochGcIdleIdentity
     : public ::testing::TestWithParam<mpl::TransportKind> {};
 
@@ -313,6 +306,7 @@ TEST_P(EpochGcIdleIdentity, OffIsBitIdenticalToIdleCollector) {
     const test::EpochGcEnv guard(false);
     off = runner::spawn(8, det_options(GetParam()), gc_ring_schedule);
   }
+  EXPECT_EQ(on.transport, GetParam());
   for (std::size_t l = 0; l < on.total.messages.size(); ++l) {
     EXPECT_EQ(on.total.messages[l], off.total.messages[l]) << "layer " << l;
     EXPECT_EQ(on.total.bytes[l], off.total.bytes[l]) << "layer " << l;
@@ -333,94 +327,9 @@ TEST_P(EpochGcIdleIdentity, OffIsBitIdenticalToIdleCollector) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, EpochGcIdleIdentity,
-                         ::testing::Values(mpl::TransportKind::kSocket,
-                                           mpl::TransportKind::kShm),
+                         ::testing::Values(mpl::TransportKind::kShm),
                          [](const auto& info) {
                            return std::string(mpl::to_string(info.param));
                          });
-
-// With the collector ACTIVE (interval 4: GC rounds at barriers 4/8/12,
-// reclaim passes at 8 and 12), the horizon piggyback and the validation
-// fetches are part of the modelled protocol and must be transport-
-// invariant like everything else: same per-layer message/byte counts,
-// same reclamation counters, same per-rank checksums on socket and shm.
-class EpochGcActiveTransportInvariance
-    : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EpochGcActiveTransportInvariance, RingTrafficMatchesAcrossMeshes) {
-  const test::EpochGcEnv guard(GetParam());
-  const test::EnvGuard interval("TMK_EPOCH_GC_INTERVAL", "4");
-  const auto socket =
-      runner::spawn(8, det_options(mpl::TransportKind::kSocket),
-                    gc_ring_schedule);
-  const auto shm = runner::spawn(8, det_options(mpl::TransportKind::kShm),
-                                 gc_ring_schedule);
-  for (std::size_t l = 0; l < socket.total.messages.size(); ++l) {
-    EXPECT_EQ(socket.total.messages[l], shm.total.messages[l])
-        << "layer " << l;
-    EXPECT_EQ(socket.total.bytes[l], shm.total.bytes[l]) << "layer " << l;
-  }
-  EXPECT_EQ(socket.ctr(runner::ctr::Id::kIntervalsReclaimed),
-            shm.ctr(runner::ctr::Id::kIntervalsReclaimed));
-  if (GetParam())
-    EXPECT_GT(socket.ctr(runner::ctr::Id::kIntervalsReclaimed), 0u);
-  else
-    EXPECT_EQ(socket.ctr(runner::ctr::Id::kIntervalsReclaimed), 0u);
-  ASSERT_EQ(socket.procs.size(), shm.procs.size());
-  for (std::size_t i = 0; i < socket.procs.size(); ++i)
-    EXPECT_DOUBLE_EQ(socket.procs[i].checksum, shm.procs[i].checksum)
-        << "rank " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(OnOff, EpochGcActiveTransportInvariance,
-                         ::testing::Values(true, false),
-                         [](const auto& info) {
-                           return std::string(info.param ? "on" : "off");
-                         });
-
-// ---- controlled tmk protocol run --------------------------------------
-
-// A fixed barrier/lock/shared-write schedule whose protocol event
-// counts are deterministic by construction: every process returns a
-// digest of its stats (barriers, lock acquires, write faults), which
-// must match across transports. (Message totals are intentionally not
-// compared — the manager-side lock chaining makes self-forwards, which
-// are uncounted, contention-order-dependent on any transport.)
-constexpr int kProcs = 4;
-constexpr int kRounds = 5;
-
-TEST(CrossTransportTmk, BarrierLockFaultAndMessageCountsIdentical) {
-  auto run = [&](mpl::TransportKind t) {
-    return runner::spawn(kProcs, det_options(t), [](runner::ChildContext& c) {
-      tmk::Runtime rt(c);
-      auto* data = rt.alloc<std::int64_t>(1024 * rt.nprocs());
-      auto* cell = rt.alloc<std::int64_t>(1);
-      for (int iter = 0; iter < kRounds; ++iter) {
-        rt.barrier();
-        const int me = rt.rank();
-        data[1024 * me + iter] = 100 * me + iter;
-        rt.lock_acquire(3);
-        *cell += 1;  // contended, but the sum is order-independent
-        rt.lock_release(3);
-        rt.barrier();
-        const int peer = (me + 1) % rt.nprocs();
-        if (data[1024 * peer + iter] != 100 * peer + iter) return -1.0;
-      }
-      rt.barrier();
-      if (*cell != kProcs * kRounds) return -2.0;
-      return static_cast<double>(rt.stats().barriers) * 1e6 +
-             static_cast<double>(rt.stats().lock_acquires) * 1e3 +
-             static_cast<double>(rt.stats().write_faults);
-    });
-  };
-  const auto socket = run(mpl::TransportKind::kSocket);
-  const auto shm = run(mpl::TransportKind::kShm);
-  for (int p = 0; p < kProcs; ++p) {
-    EXPECT_GT(socket.procs[static_cast<std::size_t>(p)].checksum, 0.0);
-    EXPECT_DOUBLE_EQ(socket.procs[static_cast<std::size_t>(p)].checksum,
-                     shm.procs[static_cast<std::size_t>(p)].checksum)
-        << "proc " << p;
-  }
-}
 
 }  // namespace
