@@ -21,9 +21,9 @@
 namespace runner::ctr {
 
 /// Which layer of the stack produces the counter. Host counters are
-/// ring-mesh publish and wake costs (they vary with the host schedule
-/// and TMK_FABRIC_BURST); DSM counters are protocol observables,
-/// computed above the transport and burst-invariant by construction.
+/// host syscall and wake costs (they vary with the host schedule and
+/// TMK_FABRIC_BURST); DSM counters are protocol observables, computed
+/// above the transport and burst-invariant by construction.
 /// The JSON writer groups columns by layer, preserving the historical
 /// key order.
 enum class Layer : std::uint8_t { kHost, kDsm };
@@ -34,6 +34,7 @@ enum class Agg : std::uint8_t { kSum, kMax };
 enum class Id : std::uint8_t {
   kHostSendCalls,   // transport publishes (doorbell bumps)
   kHostFutexWakes,  // send-side FUTEX_WAKE syscalls
+  kHostMprotectCalls,  // mprotect syscalls on the DSM heap
   kDiffRequests,    // diff pull round trips
   kDiffReplies,
   kDiffPush,        // barrier-time pushed diffs (TMK_UPDATE_MODE)
@@ -59,6 +60,7 @@ struct Desc {
 inline constexpr std::array<Desc, kCount> kRegistry = {{
     {Id::kHostSendCalls, "host_send_calls", Layer::kHost, Agg::kSum},
     {Id::kHostFutexWakes, "host_futex_wakes", Layer::kHost, Agg::kSum},
+    {Id::kHostMprotectCalls, "host_mprotect_calls", Layer::kHost, Agg::kSum},
     {Id::kDiffRequests, "diff_requests", Layer::kDsm, Agg::kSum},
     {Id::kDiffReplies, "diff_replies", Layer::kDsm, Agg::kSum},
     {Id::kDiffPush, "diff_push", Layer::kDsm, Agg::kSum},

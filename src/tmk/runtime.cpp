@@ -172,6 +172,7 @@ Runtime::Runtime(runner::ChildContext& ctx)
   // Zero-page invariant: every process starts with identical all-zero
   // pages; reads are free until the first write notice arrives.
   COMMON_SYSCALL(mprotect(heap_, heap_len_, PROT_READ));
+  ++mprotect_calls_;
 
   locks_.resize(kNumLocks);
   lock_last_requester_.resize(kNumLocks);
@@ -325,6 +326,7 @@ void Runtime::flush_stats_to_ctx() noexcept {
   // Stashed pushes the run never consumed were sent for nothing.
   c[Id::kPushWaste] += stats_.push_waste + push_stash_.size();
   c[Id::kPageFaults] += stats_.read_faults + stats_.write_faults;
+  c[Id::kHostMprotectCalls] += mprotect_calls_;
   // Every emitted report counts, stored or dropped past the cap.
   c[Id::kRaceReports] += race_emitted_;
   c[Id::kRaceReportsDropped] += race_reports_dropped_;
@@ -382,8 +384,21 @@ void* Runtime::alloc_bytes(std::size_t bytes, bool page_align) {
 // Page protection
 // ---------------------------------------------------------------------
 
-void Runtime::mprotect_page(PageIndex page, int prot) const {
-  COMMON_SYSCALL(mprotect(page_ptr(page), common::kPageSize, prot));
+void Runtime::mprotect_range(PageIndex first, std::size_t npages, int prot) {
+  COMMON_SYSCALL(mprotect(page_ptr(first), npages * common::kPageSize, prot));
+  ++mprotect_calls_;
+}
+
+void Runtime::mprotect_runs(std::span<const PageIndex> ascending_pages,
+                            int prot) {
+  const std::size_t n = ascending_pages.size();
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i + 1;
+    while (j < n && ascending_pages[j] == ascending_pages[j - 1] + 1) ++j;
+    mprotect_range(ascending_pages[i], j - i, prot);
+    i = j;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -394,8 +409,9 @@ std::unique_ptr<std::byte[]> Runtime::take_twin_buffer() {
   // Demand signal for the barrier-time high-water-mark trim: pooled or
   // fresh, every take is one page of this epoch's twin working set.
   ++twin_takes_epoch_;
+  // Not zero-filled: every caller overwrites the whole page at once.
   if (twin_pool_.empty())
-    return std::make_unique<std::byte[]>(common::kPageSize);
+    return std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
   auto twin = std::move(twin_pool_.back());
   twin_pool_.pop_back();
   return twin;
@@ -465,14 +481,16 @@ void Runtime::close_interval() {
       px.own_last_seq = seq;
     }
     pm.dirty = false;
-    if (pm.state != PageState::kInvalid) {
-      // (An invalid page — concurrent-writer notice — stays invalid.)
-      mprotect_page(page, PROT_READ);
-      pm.state = PageState::kReadOnly;
-    }
+    // (An invalid page — concurrent-writer notice — stays invalid.)
+    if (pm.state != PageState::kInvalid) pm.state = PageState::kReadOnly;
   }
-  for (PageIndex page : meta->pages)
+  // Write-protect in ascending runs; an invalid page splits its run.
+  prot_pages_.clear();
+  for (PageIndex page : meta->pages) {
     ext(page).notices.push_back(meta.get());
+    if (pages_[page].state == PageState::kReadOnly) prot_pages_.push_back(page);
+  }
+  mprotect_runs(prot_pages_, PROT_READ);
   intervals_[static_cast<std::size_t>(rank_)].live.push_back(std::move(meta));
   ++records_created_;
   dirty_pages_.clear();
@@ -503,7 +521,8 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
   const std::byte* image = page_ptr(page);
   if (pm.state == PageState::kInvalid || pm.dirty) {
     if (flush_snapshot_ == nullptr)
-      flush_snapshot_ = std::make_unique<std::byte[]>(common::kPageSize);
+      flush_snapshot_ =
+          std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
     if (pm.state == PageState::kInvalid)
       read_protected_page(page, flush_snapshot_.get());
     else
@@ -585,6 +604,9 @@ void Runtime::integrate_interval(ProcId creator, Seq seq,
   if (cfg_.racecheck != RaceCheckMode::kOff) race_check_incoming(*m);
   if (vc_.get(creator) < seq) vc_.set(creator, seq);
 
+  // The creator sorted the page list, so the newly invalidated pages
+  // come out ascending and go PROT_NONE one run at a time.
+  prot_pages_.clear();
   for (PageIndex page : m->pages) {
     PageMeta& pm = pages_[page];
     PageExt& px = ext(page);
@@ -595,10 +617,11 @@ void Runtime::integrate_interval(ProcId creator, Seq seq,
     }
     px.pending.push_back(m);
     if (pm.state != PageState::kInvalid) {
-      mprotect_page(page, PROT_NONE);
       pm.state = PageState::kInvalid;
+      prot_pages_.push_back(page);
     }
   }
+  mprotect_runs(prot_pages_, PROT_NONE);
   // Coverage bookkeeping can pre-register pages this interval turned out
   // not to touch; drop the leftovers now that the real page list is known.
   if (!preapplied_.empty()) {
@@ -1043,6 +1066,14 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
               if (wa != wb) return wa < wb;
               return a.interval->id.creator < b.interval->id.creator;
             });
+  // Unprotect every staged page at once; the clean ones are
+  // write-protected again, together, after the apply.
+  prot_pages_.clear();
+  for (const FetchedDiff& fd : fetch_staged_)
+    if (prot_pages_.empty() || prot_pages_.back() != fd.page)
+      prot_pages_.push_back(fd.page);
+  mprotect_runs(prot_pages_, PROT_READ | PROT_WRITE);
+  std::size_t clean = 0;
   std::size_t i = 0;
   while (i < fetch_staged_.size()) {
     const PageIndex page = fetch_staged_[i].page;
@@ -1052,8 +1083,6 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
     PageExt& px = ext(page);
     COMMON_CHECK_MSG(j - i == px.pending.size(),
                      "pending set changed under fetch for page " << page);
-    const bool dirty = pm.dirty;
-    mprotect_page(page, PROT_READ | PROT_WRITE);
     for (std::size_t k = i; k < j; ++k) {
       const FetchedDiff& fd = fetch_staged_[k];
       // Entries sharing one flush blob are applied (and charged) once.
@@ -1067,14 +1096,16 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       if (px.twin != nullptr) apply_diff(fd.blob, px.twin.get());
     }
     px.pending.clear();
-    if (dirty) {
+    if (pm.dirty) {
       pm.state = PageState::kReadWrite;  // keep writing against old twin
     } else {
-      mprotect_page(page, PROT_READ);
       pm.state = PageState::kReadOnly;
+      prot_pages_[clean++] = page;  // pages ascend: overwrites visited slots
     }
     i = j;
   }
+  prot_pages_.resize(clean);
+  mprotect_runs(prot_pages_, PROT_READ);
   fetch_staged_.clear();
   // Consumed stash entries are retired as hits (erase() de-dups the
   // per-entry count when several seqs drew on one blob).

@@ -383,7 +383,23 @@ class Runtime {
   // about what the requester actually reads, and learning from it would
   // turn every GC round into a sustained mispredicted-push storm.
   void fetch_and_apply(std::span<const PageIndex> pages, bool learn = true);
-  void mprotect_page(PageIndex page, int prot) const;
+
+  // Page protection (main thread, under mu_). Interval close, notice
+  // integration and fetch_and_apply update page state as they go,
+  // collect the pages in prot_pages_, and change their protection with
+  // mprotect_runs before they release mu_. The fault path, the
+  // race-check scan and the push paths (collect_pushes, accept_push)
+  // change one page at a time. Every mprotect on the heap counts in
+  // mprotect_calls_ (the host_mprotect_calls column).
+  void mprotect_range(PageIndex first, std::size_t npages, int prot);
+  void mprotect_page(PageIndex page, int prot) {
+    mprotect_range(page, 1, prot);
+  }
+  // One mprotect per maximal run of consecutive page indices.
+  void mprotect_runs(std::span<const PageIndex> ascending_pages, int prot);
+  std::vector<PageIndex> prot_pages_;
+  std::uint64_t mprotect_calls_ = 0;
+
   [[nodiscard]] std::byte* page_ptr(PageIndex page) const noexcept {
     return static_cast<std::byte*>(heap_) + page * common::kPageSize;
   }

@@ -121,7 +121,7 @@ TEST(BenchSmoke, JsonRowColumnOrderIsPinned) {
       "nprocs",        "speedup",
       "seconds",       "host_wall_s",
       "host_cpu_s",    "host_send_calls",
-      "host_futex_wakes", "messages",
+      "host_futex_wakes", "host_mprotect_calls", "messages",
       "kbytes",        "update_mode",
       "racecheck",     "diff_requests",
       "diff_replies",  "diff_push",

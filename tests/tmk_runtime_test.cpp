@@ -582,6 +582,81 @@ TEST(TmkRuntime, CoveredSeqGapDoesNotRefetchOrClobberLocalWrites) {
   for (const auto& p : r.procs) EXPECT_DOUBLE_EQ(p.checksum, expect);
 }
 
+constexpr int kIntsPerPage =
+    static_cast<int>(common::kPageSize / sizeof(std::int32_t));
+
+// Page protection changes one run of consecutive pages at a time: the
+// writer's interval close write-protects its 256 dirty pages, and the
+// reader's integration of that interval invalidates them, in one call
+// each. What stays per page is the fault path: one upgrade per write
+// fault, and two calls per single-page read fetch. Per-page calls at
+// close and integration would cost about 2x and 3x the faults.
+TEST(TmkRuntime, ProtectionChangesCostOneCallPerRun) {
+  constexpr int kPages = 256;
+  auto r = runner::spawn(2, fast_options(), [](runner::ChildContext& c) {
+    tmk::Runtime rt(c);
+    auto* data = rt.alloc<std::int32_t>(kPages * kIntsPerPage);
+    if (rt.rank() == 0)
+      for (int p = 0; p < kPages; ++p) data[p * kIntsPerPage] = p + 1;
+    rt.barrier();
+    double sum = 0;
+    if (rt.rank() == 1)
+      for (int p = 0; p < kPages; ++p) sum += data[p * kIntsPerPage];
+    rt.barrier();
+    return sum;
+  });
+  using runner::ctr::Id;
+  ASSERT_EQ(r.procs.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.procs[1].checksum, kPages * (kPages + 1) / 2.0);
+  const runner::ctr::Block& writer = r.procs[0].ctrs;
+  const runner::ctr::Block& reader = r.procs[1].ctrs;
+  EXPECT_EQ(writer[Id::kPageFaults], std::uint64_t{kPages});
+  EXPECT_EQ(reader[Id::kPageFaults], std::uint64_t{kPages});
+  EXPECT_LE(writer[Id::kHostMprotectCalls], writer[Id::kPageFaults] + 8);
+  EXPECT_LE(reader[Id::kHostMprotectCalls], 2 * reader[Id::kPageFaults] + 8);
+}
+
+// A dirty page that a lock grant invalidates must stay PROT_NONE when
+// its interval closes, although the dirty pages around it go back to
+// PROT_READ in the same close: re-reading all eight pages then takes
+// exactly one read fault, and that fetch merges the lock holder's words
+// into the page.
+TEST(TmkRuntime, LockInvalidatedDirtyPageStaysProtectedAcrossClose) {
+  constexpr int kPages = 8;
+  constexpr int kShared = 3;  // the page both ranks write
+  constexpr int kHalf = kIntsPerPage / 2;
+  auto r = runner::spawn(2, fast_options(), [](runner::ChildContext& c) {
+    tmk::Runtime rt(c);
+    auto* data = rt.alloc<std::int32_t>(kPages * kIntsPerPage);
+    std::int32_t* shared = data + kShared * kIntsPerPage;
+    if (rt.rank() == 1) rt.lock_acquire(0);
+    rt.barrier();
+    if (rt.rank() == 1) {
+      for (int i = kHalf; i < kIntsPerPage; ++i) shared[i] = 2;
+      rt.lock_release(0);
+      rt.barrier();
+      return 0.0;
+    }
+    for (int p = 0; p < kPages; ++p)
+      for (int i = 0; i < kHalf; ++i) data[p * kIntsPerPage + i] = 1;
+    rt.lock_acquire(0);  // the grant invalidates dirty page kShared
+    rt.lock_release(0);  // closes the run of dirty pages 0..7
+    const std::uint64_t before = rt.stats().read_faults;
+    asm volatile("" ::: "memory");
+    const auto* v = static_cast<volatile const std::int32_t*>(data);
+    std::int64_t sum = 0;
+    for (int k = 0; k < kPages * kIntsPerPage; ++k) sum += v[k];
+    asm volatile("" ::: "memory");
+    const std::uint64_t faults = rt.stats().read_faults - before;
+    bool merged = sum == kPages * kHalf + 2 * kHalf;
+    for (int i = 0; i < kIntsPerPage; ++i)
+      merged = merged && shared[i] == (i < kHalf ? 1 : 2);
+    rt.barrier();
+    return merged ? static_cast<double>(faults) : -1.0;
+  });
+  EXPECT_DOUBLE_EQ(r.procs[0].checksum, 1.0);
+}
+
 // Fork/join message count: 2(n-1) per parallel loop (§2.3).
 TEST(TmkRuntime, ForkJoinCosts2NMinus1Messages) {
   auto r = runner::spawn(8, fast_options(), [](runner::ChildContext& c) {
