@@ -25,7 +25,6 @@ namespace common::env {
 /// exported copy in the environment is not flagged as a typo).
 inline constexpr std::string_view kKnown[] = {
     "TMK_BACKEND",           // runner: process|thread
-    "TMK_FABRIC_BURST",      // mpl: 0 disables per-peer send bursts
     "TMK_CPU_SCALE",         // sim: compute scaling factor (> 0)
     "TMK_FULL_SIZES",        // bench: run paper-size problem presets
     "TMK_UPDATE_MODE",       // tmk: off|hybrid barrier-time diff pushing
@@ -74,7 +73,7 @@ inline void warn_value(const char* name, const char* value,
 }
 
 /// On/off knob: unset -> fallback; set -> a leading '0' disables,
-/// anything else enables (the TMK_FABRIC_BURST contract).
+/// anything else enables.
 [[nodiscard]] inline bool flag_knob(const char* name, bool fallback) noexcept {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;

@@ -8,8 +8,6 @@
 #include "common/check.hpp"
 #include "common/cpu_clock.hpp"
 #include "common/env.hpp"
-#include "mpl/inproc_transport.hpp"
-#include "mpl/shm_transport.hpp"
 
 namespace mpl {
 
@@ -38,35 +36,11 @@ void give_buffer(BufferPool& pool, std::vector<std::byte>&& buf) {
 
 }  // namespace
 
-bool burst_from_env() noexcept {
-  // Read per construction (never cached in a static): equivalence tests
-  // toggle the mode between spawns within one process.
-  return common::env::flag_knob("TMK_FABRIC_BURST", true);
-}
-
-Fabric::Fabric(int nprocs, TransportKind kind) : nprocs_(nprocs), kind_(kind) {
-  COMMON_CHECK_MSG(nprocs >= 1 && nprocs <= kMaxProcs,
-                   "nprocs=" << nprocs << " outside [1," << kMaxProcs << "]");
-  state_ = kind == TransportKind::kInproc ? make_inproc_fabric(nprocs)
-                                          : make_shm_fabric(nprocs);
-}
-
-std::unique_ptr<Transport> Fabric::adopt(int rank) {
-  COMMON_CHECK(rank >= 0 && rank < nprocs_ && state_ != nullptr);
-  return state_->adopt(rank);
-}
-
-std::unique_ptr<PeerKiller> Fabric::make_peer_killer() {
-  COMMON_CHECK(state_ != nullptr);
-  return state_->make_killer();
-}
-
-Endpoint::Endpoint(Fabric& fabric, int rank, simx::MachineModel model)
+Endpoint::Endpoint(const Fabric& fabric, int rank, simx::MachineModel model)
     : rank_(rank),
       nprocs_(fabric.nprocs()),
       clock_(model),
-      transport_(fabric.adopt(rank)),
-      burst_enabled_(burst_from_env()) {
+      transport_(fabric.region(), fabric.nprocs(), rank, fabric.kind()) {
   wait_deadline_ms_ =
       std::max(0ll, common::env::int_knob("TMK_WAIT_DEADLINE_MS").value_or(0));
   last_frame_kind_.assign(static_cast<std::size_t>(nprocs_), 0xffff);
@@ -78,14 +52,14 @@ void Endpoint::set_wait_site(const char* site) noexcept {
 }
 
 void Endpoint::check_wait_health(std::uint64_t start_ns) {
-  if (transport_->self_dead()) {
-    const char* cause = transport_->self_death_cause();
+  if (transport_.self_dead()) {
+    const char* cause = transport_.self_death_cause();
     std::string msg = "rank " + std::to_string(rank_) +
                       " unwinding after injected fault";
     if (cause[0] != '\0') msg += std::string(": ") + cause;
     throw common::Error(msg + " (at " + wait_site_ + ")");
   }
-  const int dead = transport_->poisoned_peer();
+  const int dead = transport_.poisoned_peer();
   if (dead >= 0) fail_wait("peer-death", dead, start_ns);
   if (wait_deadline_ms_ > 0 &&
       common::wall_ns() - start_ns >
@@ -116,7 +90,7 @@ void Endpoint::fail_wait(const char* reason, int dead_rank,
     first = false;
   }
   os << "},\"channels\":\"";
-  transport_->describe_channels(os);
+  transport_.describe_channels(os);
   os << "\"";
   if (forensics_writer_ != nullptr) {
     os << ",\"protocol\":\"";
@@ -140,34 +114,21 @@ Endpoint::~Endpoint() {
   // A rank unwinding mid-burst (an exception between begin_burst and
   // flush_burst) must not leave frames invisible to its peers — they
   // would block on the dead rank forever instead of observing its
-  // failure. Swallow errors: this runs during unwinding.
-  try {
-    flush_burst();
-  } catch (...) {
-  }
+  // failure.
+  flush_burst();
 }
 
 void Endpoint::begin_burst(int dst) {
-  if (!burst_enabled_ || burst_dst_ == dst) return;
+  if (burst_dst_ == dst) return;
   flush_burst();
   burst_dst_ = dst;
 }
 
-void Endpoint::flush_burst() {
+void Endpoint::flush_burst() noexcept {
   if (burst_dst_ < 0) return;
-  const int dst = burst_dst_;
-  std::uint64_t blocked_since = 0;
   for (int lane = 0; lane < 2; ++lane) {
     if (!burst_lane_used_[lane]) continue;
-    while (!transport_->try_flush_burst(static_cast<Lane>(lane), dst)) {
-      // Same deadlock-freedom discipline as a blocked send: drain our
-      // own inbound app traffic so a peer blocked on a send toward us
-      // can progress, then wait for channel space.
-      pump();
-      if (blocked_since == 0) blocked_since = common::wall_ns();
-      check_wait_health(blocked_since);
-      transport_->wait_send(static_cast<Lane>(lane), dst, 2);
-    }
+    transport_.flush_burst(static_cast<Lane>(lane), burst_dst_);
     burst_lane_used_[lane] = false;
   }
   burst_dst_ = -1;
@@ -193,18 +154,17 @@ void Endpoint::send_chunks(Lane lane, int dst, bool pump_while_blocked,
   // into one transport publish — a 56 KiB-chunked diff reply costs one
   // doorbell, not one per chunk. Single-chunk messages outside a burst
   // keep the zero-copy direct path.
-  const bool in_explicit_burst =
-      pump_while_blocked && burst_enabled_ && burst_dst_ == dst;
+  const bool in_explicit_burst = pump_while_blocked && burst_dst_ == dst;
   if (pump_while_blocked && burst_dst_ >= 0 && dst != burst_dst_)
     flush_burst();
   bool own_burst = false;
   if (in_explicit_burst) {
     if (!burst_lane_used_[static_cast<int>(lane)]) {
-      transport_->begin_burst(lane, dst);
+      transport_.begin_burst(lane, dst);
       burst_lane_used_[static_cast<int>(lane)] = true;
     }
-  } else if (burst_enabled_ && total > kMaxChunk) {
-    transport_->begin_burst(lane, dst);
+  } else if (total > kMaxChunk) {
+    transport_.begin_burst(lane, dst);
     own_burst = true;
   }
   std::size_t offset = 0;
@@ -222,7 +182,7 @@ void Endpoint::send_chunks(Lane lane, int dst, bool pump_while_blocked,
     h.offset = static_cast<std::uint32_t>(offset);
     h.vt_arrival = vt_arrival;
 
-    while (!transport_->try_send(lane, dst, h, payload.subspan(offset, len))) {
+    while (!transport_.try_send(lane, dst, h, payload.subspan(offset, len))) {
       // Receiver has not drained yet. If we are the main thread, drain
       // our own inbound app traffic so the peer (possibly blocked on a
       // send toward us) can make progress; then wait for space. The
@@ -235,20 +195,11 @@ void Endpoint::send_chunks(Lane lane, int dst, bool pump_while_blocked,
         if (blocked_since == 0) blocked_since = common::wall_ns();
         check_wait_health(blocked_since);
       }
-      transport_->wait_send(lane, dst, pump_while_blocked ? 2 : -1);
+      transport_.wait_send(lane, dst, pump_while_blocked ? 2 : -1);
     }
     offset += len;
   } while (offset < total);
-  if (own_burst) {
-    while (!transport_->try_flush_burst(lane, dst)) {
-      if (pump_while_blocked) {
-        pump();
-        if (blocked_since == 0) blocked_since = common::wall_ns();
-        check_wait_health(blocked_since);
-      }
-      transport_->wait_send(lane, dst, pump_while_blocked ? 2 : -1);
-    }
-  }
+  if (own_burst) transport_.flush_burst(lane, dst);
 }
 
 void Endpoint::send_app(int dst, FrameKind kind, std::int32_t tag,
@@ -350,8 +301,8 @@ void Endpoint::drain_app(bool block) {
   for (;;) {
     // Token before the drain: anything arriving after the drain misses
     // it bumps the token, so the wait below cannot sleep through it.
-    const std::uint32_t token = transport_->recv_token(Lane::kApp);
-    transport_->drain(Lane::kApp, sink);
+    const std::uint32_t token = transport_.recv_token(Lane::kApp);
+    transport_.drain(Lane::kApp, sink);
     if (got_any || !block) return;
     // Health check strictly AFTER an empty drain: datagrams that were
     // delivered before a peer died (or before poison landed) are always
@@ -359,7 +310,7 @@ void Endpoint::drain_app(bool block) {
     // exchange does so instead of aborting spuriously.
     if (start_ns == 0) start_ns = common::wall_ns();
     check_wait_health(start_ns);
-    transport_->wait_recv(Lane::kApp, token);
+    transport_.wait_recv(Lane::kApp, token);
   }
 }
 
@@ -434,18 +385,18 @@ std::optional<Frame> Endpoint::next_svc_request(
       svc_pending_.pop_front();
       return f;
     }
-    const std::uint32_t token = transport_->recv_token(Lane::kSvc);
-    if (stop.load(std::memory_order_acquire) || transport_->self_dead())
+    const std::uint32_t token = transport_.recv_token(Lane::kSvc);
+    if (stop.load(std::memory_order_acquire) || transport_.self_dead())
       return std::nullopt;
-    transport_->drain(Lane::kSvc, sink);
+    transport_.drain(Lane::kSvc, sink);
     if (!svc_pending_.empty()) continue;
     // The token predates both the stop check and the drain: a request
     // or a wake_service() landing after either makes this return
     // immediately instead of sleeping through it.
-    transport_->wait_recv(Lane::kSvc, token);
+    transport_.wait_recv(Lane::kSvc, token);
   }
 }
 
-void Endpoint::wake_service() { transport_->wake_service(); }
+void Endpoint::wake_service() { transport_.wake_service(); }
 
 }  // namespace mpl

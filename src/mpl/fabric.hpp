@@ -9,8 +9,9 @@
 //   app[i->j] : anything process i sends to j's *main* thread
 //               (replies, grants, barrier and fork/join traffic, pvme data)
 //
-// How chunks cross the host is a Transport concern (transport.hpp):
-// one ring mesh, in a region the runner backend places. Everything
+// How chunks cross the host is the ring mesh's concern (transport.hpp):
+// a Fabric owns the region, placed by the runner backend, and each rank
+// sends and receives through its own Transport view. Everything
 // protocol-visible lives HERE, in the Endpoint — framing, chunked
 // reassembly keyed by (src, kind, tag, req_id), logical-message
 // counters, and virtual-clock charges — which is why modelled results
@@ -31,7 +32,6 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -71,44 +71,16 @@ struct BufferPool {
   std::size_t takes = 0;
 };
 
-/// Parent-side bundle of the whole interconnect. Ranks call Endpoint's
-/// constructor with their rank (which adopts their view); destroying
-/// the Fabric afterwards releases every resource that rank does not
-/// own.
-class Fabric {
- public:
-  explicit Fabric(int nprocs, TransportKind kind = TransportKind::kShm);
-  Fabric(Fabric&&) noexcept = default;
-  Fabric& operator=(Fabric&&) noexcept = default;
-
-  [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
-  [[nodiscard]] TransportKind kind() const noexcept { return kind_; }
-
-  /// Builds this rank's Transport over the parent-side region. Called
-  /// (once per rank) via Endpoint.
-  [[nodiscard]] std::unique_ptr<Transport> adopt(int rank);
-
-  /// Parent-side death-propagation handle (see PeerKiller). Call before
-  /// discarding the Fabric — the killer takes over the region view it
-  /// needs.
-  [[nodiscard]] std::unique_ptr<PeerKiller> make_peer_killer();
-
- private:
-  int nprocs_ = 0;
-  TransportKind kind_ = TransportKind::kShm;
-  std::unique_ptr<FabricState> state_;
-};
-
-/// One process's view of the fabric. Construct in the child with adopt().
+/// One rank's protocol end of the mesh, built on the rank's main thread.
 class Endpoint {
  public:
-  /// Takes this rank's transport out of the fabric. The caller should
-  /// then destroy the Fabric object to release all foreign resources.
-  Endpoint(Fabric& fabric, int rank, simx::MachineModel model);
+  /// Builds this rank's Transport view over the fabric's region. The
+  /// fabric must outlive the endpoint.
+  Endpoint(const Fabric& fabric, int rank, simx::MachineModel model);
 
   /// Flushes any burst left open (so no frame is ever stranded in the
   /// transport — a rank unwinding mid-burst must not hang its peers),
-  /// then releases the transport.
+  /// then releases the transport view.
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -118,7 +90,7 @@ class Endpoint {
   [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
   [[nodiscard]] simx::VirtualClock& clock() noexcept { return clock_; }
   [[nodiscard]] TransportKind transport_kind() const noexcept {
-    return transport_->kind();
+    return transport_.kind();
   }
   [[nodiscard]] Counters counters() const noexcept {
     return counters_.snapshot();
@@ -126,7 +98,7 @@ class Endpoint {
   /// Host-side interconnect cost (send publishes, futex wakes) this
   /// rank has accumulated. Purely a host observable — never modelled.
   [[nodiscard]] HostStats host_stats() const noexcept {
-    return transport_->host_stats();
+    return transport_.host_stats();
   }
 
   // ---- per-peer send bursts (main thread) ----
@@ -145,14 +117,13 @@ class Endpoint {
   // is auto-flushed at every operation boundary that could block on a
   // peer (wait_app, a send to a different destination, destruction), so
   // forgetting flush_burst() affects batching, never correctness.
-  // Disabled entirely (every call a no-op) when TMK_FABRIC_BURST=0.
 
   /// Opens (or switches) the current send burst toward `dst`.
   void begin_burst(int dst);
 
   /// Publishes every batched frame and closes the burst. No-op when no
   /// burst is open.
-  void flush_burst();
+  void flush_burst() noexcept;
 
   // ---- main-thread send paths ----
 
@@ -227,7 +198,7 @@ class Endpoint {
   // ---- failure handling -----------------------------------------------
   //
   // Every main-thread blocking point (wait_app's drain loop, a blocked
-  // send or burst flush) re-checks, once per kMaxWaitSliceMs:
+  // send) re-checks, once per kMaxWaitSliceMs:
   //   - this rank's own injected fault (unwind instead of wedging);
   //   - the runner's peer-death poison (abort naming the dead rank);
   //   - the optional wait deadline (TMK_WAIT_DEADLINE_MS; 0 = off).
@@ -256,11 +227,11 @@ class Endpoint {
   }
 
   /// Runtime hook at barrier entry: drives the exit-at-barrier fault.
-  void fault_barrier_entered() { transport_->barrier_entered(); }
+  void fault_barrier_entered() { transport_.barrier_entered(); }
 
   /// True once this rank's own injected fault has fired.
   [[nodiscard]] bool self_dead() const noexcept {
-    return transport_->self_dead();
+    return transport_.self_dead();
   }
 
   // ---- service-thread receive path ----
@@ -356,7 +327,7 @@ class Endpoint {
   simx::VirtualClock clock_;
   AtomicCounters counters_;
 
-  std::unique_ptr<Transport> transport_;
+  Transport transport_;
 
   // Recycled payload buffers. app side: main thread only. svc side:
   // service thread only (frames handed to handlers that run on the
@@ -379,7 +350,6 @@ class Endpoint {
   // most within one send_chunks call). burst_lane_used_ tracks which
   // transport lanes the open burst has touched, so flush only visits
   // those.
-  bool burst_enabled_ = true;
   int burst_dst_ = -1;
   bool burst_lane_used_[2] = {false, false};
 

@@ -23,8 +23,9 @@
 //                               backend _exit takes every rank with it)
 //
 // Unknown keys throw at parse time. The plan is interpreted by the
-// Transport base class (transport.hpp), above the ring layout, so both
-// runner backends observe identical fault semantics by construction.
+// Transport's public methods (transport.hpp), above the ring layout, so
+// both runner backends observe identical fault semantics by
+// construction.
 #pragma once
 
 #include <atomic>

@@ -22,9 +22,9 @@ namespace mpl {
 // nothing.
 inline constexpr int kMaxProcs = 128;
 
-/// Largest payload per datagram chunk. The ring capacity
-/// (shm_transport.hpp) is sized from it so one maximum-size chunk can
-/// always be pushed.
+/// Largest payload per datagram chunk. The ring capacity (kShmRingBytes,
+/// transport.hpp) is sized from it so one maximum-size chunk can always
+/// be pushed.
 inline constexpr std::size_t kMaxChunk = 56 * 1024;
 
 inline constexpr std::uint32_t kFrameMagic = 0x544d4b31;  // "TMK1"

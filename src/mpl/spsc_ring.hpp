@@ -1,8 +1,8 @@
 // Lock-free single-producer single-consumer datagram ring over raw
-// (shared) memory — the building block of ShmTransport.
+// (shared) memory — the building block of the ring mesh (transport.hpp).
 //
 // One ring carries framed datagrams in ONE direction between ONE
-// producing thread and ONE consuming thread; ShmTransport keeps a ring
+// producing thread and ONE consuming thread; the mesh keeps a ring
 // per (src, dst, lane, sending-thread) so every ring is strictly SPSC
 // and needs no locks. The control words and the data bytes live in a
 // MAP_SHARED region; the ring object itself is a per-process non-owning

@@ -1,22 +1,25 @@
-// Transport abstraction: the interconnect under the process mesh.
+// The ring mesh: the interconnect under the process mesh.
 //
 // The Endpoint core (fabric.hpp) owns everything protocol-visible —
 // framing, chunking, reassembly, message/byte counters, virtual-clock
-// charges. A Transport only moves opaque datagram chunks between
+// charges. The ring mesh only moves opaque datagram chunks between
 // ranks, so the modelled results (message counts, bytes, virtual
 // times, checksums) cannot depend on it; only the *host-side* cost of
-// moving a chunk lives here. There is one interconnect, a ring mesh
-// of per-(pair, lane, sending-thread) lock-free SPSC byte rings with
-// futex doorbells, whose steady-state datagram path makes no
-// syscalls. The runner backend decides where its region lives:
+// moving a chunk lives here. It is two classes:
 //
-//   ShmTransport (shm_transport.hpp)
-//       One MAP_SHARED region inherited through the process backend's
-//       fork.
+//   Fabric      owns the one region: nprocs^2 * 4 lock-free SPSC byte
+//               rings (spsc_ring.hpp), one per (src, dst, lane,
+//               sending-thread), plus per-(dst, lane) futex doorbells
+//               and a poison bitmask. The runner backend places it:
+//               MAP_SHARED, inherited through the process backend's
+//               fork (kShm), or process-private, shared by the thread
+//               backend's rank threads (kInproc).
 //
-//   InprocTransport (inproc_transport.hpp)
-//       One process-private region shared by the thread backend's rank
-//       threads: no fork, no MAP_SHARED.
+//   Transport   one rank's non-owning view of that region, built on
+//               the rank's main thread. Its steady-state datagram path
+//               makes no syscalls — the property Richie et al.'s
+//               Epiphany mailbox DSM demonstrates and the reason the
+//               modelled high-rank sweeps are affordable.
 //
 // Delivery contract (what the Endpoint's reassembly relies on):
 // datagrams are never corrupted, duplicated, or dropped, and datagrams
@@ -25,9 +28,8 @@
 // main and service threads share outgoing channels) may interleave
 // arbitrarily.
 //
-// Failure handling lives in THIS base class, above the ring layout:
-// the public entry points are non-virtual wrappers over protected do_*
-// hooks. The wrappers
+// Failure handling lives in the Transport's public methods, above the
+// ring layout. They
 //   - drive the rank's deterministic fault plan (TMK_FAULT_INJECT,
 //     fault_inject.hpp) on the send path and at barrier entry;
 //   - drop sends once this rank's fault has fired, so a dying rank
@@ -35,7 +37,7 @@
 //   - bound every blocking wait to kMaxWaitSliceMs, so callers
 //     (fabric.cpp) re-check peer-death poison and their wait deadline
 //     between slices instead of parking indefinitely;
-//   - cache the region's poison signal (poll_poison) so the per-wait
+//   - cache the region's poison signal (poisoned_peer) so the per-wait
 //     check is one atomic load after a peer death was first observed.
 #pragma once
 
@@ -45,9 +47,11 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "mpl/fault_inject.hpp"
 #include "mpl/frame.hpp"
+#include "mpl/spsc_ring.hpp"
 
 namespace mpl {
 
@@ -61,17 +65,17 @@ enum class TransportKind : std::uint8_t { kShm = 1, kInproc = 2 };
   return k == TransportKind::kInproc ? "inproc" : "shm";
 }
 
-/// Whether the burst-mode send path is enabled: TMK_FABRIC_BURST=0
-/// disables it, anything else (including unset) keeps the default ON.
-/// Read per construction, never cached process-wide, so tests can
-/// toggle it between spawns under the thread backend.
-[[nodiscard]] bool burst_from_env() noexcept;
+/// Ring data capacity. Must be at least SpscRing::min_capacity of the
+/// largest datagram (kMaxChunk payload + framing, TWICE over — see
+/// min_capacity's wrap analysis) so a maximum-size push can always make
+/// progress.
+inline constexpr std::uint32_t kShmRingBytes = 128 * 1024;
+static_assert(kShmRingBytes >= SpscRing::min_capacity(kMaxChunk));
 
 /// Host-side cost counters of one transport view. These are HOST
 /// observables (how many publishes and kernel wakes the interconnect
 /// cost this rank), never modelled quantities: the modelled
-/// message/byte counters and virtual times live in the Endpoint and are
-/// identical across burst modes by construction.
+/// message/byte counters and virtual times live in the Endpoint.
 struct HostStats {
   /// Datagram publishes toward peers (doorbell bumps). A burst of N
   /// frames costs 1, not N.
@@ -107,21 +111,57 @@ class ChunkSink {
   void (*call_)(const void*, const FrameHeader&, std::span<const std::byte>);
 };
 
-/// One rank's view of the interconnect. Constructed by Fabric::adopt
-/// on the rank's main thread; used by exactly two threads — the main
-/// thread (kApp receives, sends on either lane) and the service thread
-/// (kSvc receives, sends on either lane).
+/// The ring region of one run, built BEFORE the ranks start so every
+/// rank reaches it (inherited through fork, or shared by the rank
+/// threads). The runner keeps it for the whole spawn: ranks build their
+/// Transport views over region(), and poison() propagates a rank death
+/// to every survivor. Each process's copy unmaps its own view on
+/// destruction (a forked child leaves through _exit instead).
+class Fabric {
+ public:
+  /// Maps and initializes a zeroed region for an nprocs mesh: MAP_SHARED
+  /// for kShm, MAP_PRIVATE for kInproc.
+  explicit Fabric(int nprocs, TransportKind kind = TransportKind::kShm);
+  ~Fabric();
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
+
+  [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
+  [[nodiscard]] TransportKind kind() const noexcept { return kind_; }
+  [[nodiscard]] void* region() const noexcept { return region_; }
+
+  /// Marks `dead_rank` dead for every survivor: sets its poison bit and
+  /// wakes every parked receiver, so each survivor's next blocking wait
+  /// (or blocked send) aborts naming the dead rank instead of parking
+  /// until the global watchdog. Out-of-range ranks are ignored.
+  void poison(int dead_rank) noexcept;
+
+ private:
+  int nprocs_;
+  TransportKind kind_;
+  std::size_t bytes_ = 0;
+  void* region_ = nullptr;
+};
+
+/// One rank's view of the ring mesh. Used by exactly two threads — the
+/// main thread (kApp receives, sends on either lane) and the service
+/// thread (kSvc receives, sends on either lane).
 class Transport {
  public:
-  /// Upper bound every blocking do_wait_* honours: a parked rank wakes
-  /// at least this often so the caller can re-check poison / deadline /
+  /// Upper bound every blocking wait honours: a parked rank wakes at
+  /// least this often so the caller can re-check poison / deadline /
   /// stop conditions. Spurious wakes were already part of the contract.
   static constexpr int kMaxWaitSliceMs = 100;
 
-  Transport(int rank, int nprocs);
-  virtual ~Transport() = default;
+  /// A view of `region` (an initialized Fabric::region() of an nprocs
+  /// mesh) for `rank`. Must run on the rank's main thread: the sending
+  /// slot of every later send is keyed off the constructing thread.
+  Transport(void* region, int nprocs, int rank, TransportKind kind);
+  ~Transport();
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
-  [[nodiscard]] virtual TransportKind kind() const noexcept = 0;
+  [[nodiscard]] TransportKind kind() const noexcept { return kind_; }
 
   /// Attempts to enqueue one datagram (header + chunk) toward `dst`'s
   /// `lane`. Returns false when the channel is full — the caller may
@@ -147,7 +187,7 @@ class Transport {
   /// a token taken BEFORE a drain, passed to wait_recv AFTER the drain
   /// came up empty, guarantees wait_recv returns promptly if anything
   /// arrived in between.
-  [[nodiscard]] std::uint32_t recv_token(Lane lane);
+  [[nodiscard]] std::uint32_t recv_token(Lane lane) noexcept;
 
   /// Blocks until new datagrams may be ready on `lane` — or, for
   /// Lane::kSvc, until wake_service() was called — or kMaxWaitSliceMs
@@ -157,32 +197,28 @@ class Transport {
 
   /// Wakes a wait_recv(Lane::kSvc) blocked in the service thread (used
   /// for shutdown). Callable from the main thread.
-  void wake_service();
+  void wake_service() noexcept;
 
   // ---- bursts ----
   //
   // A burst groups consecutive try_sends from ONE thread toward ONE
   // (lane, dst) so they publish as a unit: the ring stages the records
-  // and rings the doorbell once at flush. Between begin_burst and a
-  // successful try_flush_burst the frames may be invisible to the
-  // receiver, so callers MUST flush before blocking on anything a peer
-  // could be waiting to answer — the Endpoint enforces this at its
-  // operation boundaries.
+  // and rings the doorbell once at flush. Between begin_burst and
+  // flush_burst the frames may be invisible to the receiver, so callers
+  // MUST flush before blocking on anything a peer could be waiting to
+  // answer — the Endpoint enforces this at its operation boundaries.
 
   /// Opens (or continues) a burst from the calling thread toward
-  /// (lane, dst).
-  void begin_burst(Lane lane, int dst) { do_begin_burst(lane, dst); }
+  /// (lane, dst). Switching targets publishes the previous burst.
+  void begin_burst(Lane lane, int dst) noexcept;
 
-  /// Publishes everything buffered by the current burst toward
-  /// (lane, dst). True when the burst is fully handed over (and closed);
-  /// false when the channel back-pressured with frames still buffered —
-  /// the caller should pump its inbound traffic, wait_send, and retry.
-  [[nodiscard]] bool try_flush_burst(Lane lane, int dst) {
-    return do_try_flush_burst(lane, dst);
-  }
+  /// Publishes everything staged by the current burst toward (lane,
+  /// dst) and closes it. A ring publish never back-pressures: a full
+  /// ring already made try_send publish and report false.
+  void flush_burst(Lane lane, int dst) noexcept;
 
   /// Host-side cost counters accumulated by this view (see HostStats).
-  [[nodiscard]] virtual HostStats host_stats() const noexcept = 0;
+  [[nodiscard]] HostStats host_stats() const noexcept;
 
   // ---- failure handling ----
 
@@ -204,9 +240,9 @@ class Transport {
     return fault_ != nullptr ? fault_->cause() : "";
   }
 
-  /// The lowest-numbered peer known to have died (runner poison), or
+  /// The lowest-numbered peer known to have died (Fabric::poison), or
   /// -1. One relaxed load after the first observation; the slow path
-  /// scans the region (poll_poison).
+  /// scans the region's poison words.
   [[nodiscard]] int poisoned_peer() noexcept {
     const int cached = poison_cache_.load(std::memory_order_relaxed);
     if (cached >= 0) return cached;
@@ -217,58 +253,59 @@ class Transport {
 
   /// Appends a human-readable per-peer channel snapshot (incoming ring
   /// occupancy) to `os` for crash reports. Best-effort.
-  virtual void describe_channels(std::ostream& os) = 0;
+  void describe_channels(std::ostream& os);
 
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
 
- protected:
-  virtual bool do_try_send(Lane lane, int dst, const FrameHeader& h,
-                           std::span<const std::byte> chunk) = 0;
-  virtual void do_wait_send(Lane lane, int dst, int timeout_ms) = 0;
-  virtual std::size_t do_drain(Lane lane, const ChunkSink& sink) = 0;
-  [[nodiscard]] virtual std::uint32_t do_recv_token(Lane lane) = 0;
-  /// `timeout_ms` is already sliced to (0, kMaxWaitSliceMs].
-  virtual void do_wait_recv(Lane lane, std::uint32_t token,
-                            int timeout_ms) = 0;
-  virtual void do_wake_service() = 0;
-  virtual void do_begin_burst(Lane lane, int dst) = 0;
-  [[nodiscard]] virtual bool do_try_flush_burst(Lane lane, int dst) = 0;
-  /// Scan for the runner's peer-death poison signal: the id of a dead
-  /// peer, or -1. Called only until the first positive answer.
-  [[nodiscard]] virtual int poll_poison() noexcept = 0;
-
-  int rank_ = 0;
-  int nprocs_ = 1;
-
  private:
+  /// The ring half of try_send, below the fault plan.
+  bool push(Lane lane, int dst, const FrameHeader& h,
+            std::span<const std::byte> chunk);
+  [[nodiscard]] int sender_slot() const noexcept;
+  [[nodiscard]] SpscRing& out_ring(Lane lane, int slot, int dst) noexcept;
+  void announce_ring(Lane lane, int slot, int dst) noexcept;
+  void ring_doorbell(int dst, Lane lane) noexcept;
+  void publish_staged(Lane lane, int slot, int dst) noexcept;
+  /// Scans the region's poison words: the id of a dead peer, or -1.
+  [[nodiscard]] int poll_poison() const noexcept;
+
+  void* base_;
+  int rank_;
+  int nprocs_;
+  TransportKind kind_;
+  unsigned long main_thread_;  // pthread_t of the constructing thread
   // Null unless TMK_FAULT_INJECT names this rank as the victim: the
   // fault-free fast path costs one pointer check per send.
   std::unique_ptr<FaultInjector> fault_;
   std::atomic<int> poison_cache_{-1};
-};
-
-/// Parent-side handle that marks one rank dead for every survivor: the
-/// runner calls poison() when it observes a rank die, and each
-/// survivor's next blocking wait (or blocked send) aborts naming the
-/// dead rank instead of parking until the global watchdog.
-class PeerKiller {
- public:
-  virtual ~PeerKiller() = default;
-  virtual void poison(int dead_rank) noexcept = 0;
-};
-
-/// Parent-side ring region, built by the Fabric BEFORE the ranks start
-/// so every rank reaches it (inherited through fork, or shared by the
-/// rank threads). adopt() is called at most once per rank.
-class FabricState {
- public:
-  virtual ~FabricState() = default;
-  [[nodiscard]] virtual std::unique_ptr<Transport> adopt(int rank) = 0;
-  /// Builds the parent-side death-propagation handle. Must be called
-  /// BEFORE the parent releases the fabric (the handle takes over the
-  /// region view it needs).
-  [[nodiscard]] virtual std::unique_ptr<PeerKiller> make_killer() = 0;
+  // Ring views: outgoing indexed [slot][lane][dst], incoming
+  // [lane][src * 2 + slot]. Slot 0 = main thread, slot 1 = the (single)
+  // service thread. Views are plain pointer math over the region — no
+  // ring's shared pages are touched until it actually carries traffic.
+  std::vector<SpscRing> out_[2][2];
+  std::vector<SpscRing> in_[2];
+  // Local "already announced in the region's active mask" flags per
+  // [slot][lane], so the once-per-ring fetch_or is not repeated on
+  // every send. Slot 0 is only touched by the main thread, slot 1 only
+  // by the service thread.
+  std::vector<std::uint8_t> announced_[2][2];
+  // Open-burst destination per [slot][lane] (-1 = none). While a burst
+  // is open, try_sends toward it stage into the ring without a tail
+  // store or doorbell; flush_burst publishes the whole batch with one
+  // release store and one doorbell bump. Each slot is owned by its
+  // single sending thread.
+  int burst_dst_[2][2] = {{-1, -1}, {-1, -1}};
+  // Receive-side spin budget per lane before the futex sleep. It
+  // adapts: a wait satisfied while spinning grows it, a wait that had
+  // to sleep anyway shrinks it, so oversubscribed hosts (more rank
+  // threads than cores) degrade back toward pure futex waits. Each
+  // lane's budget is touched only by that lane's receiving thread.
+  int spin_budget_[2];
+  // Host-side cost counters (HostStats): both sending threads bump
+  // them, so they are relaxed atomics.
+  std::atomic<std::uint64_t> host_send_calls_{0};
+  std::atomic<std::uint64_t> host_futex_wakes_{0};
 };
 
 }  // namespace mpl

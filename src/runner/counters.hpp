@@ -21,9 +21,8 @@
 namespace runner::ctr {
 
 /// Which layer of the stack produces the counter. Host counters are
-/// host syscall and wake costs (they vary with the host schedule and
-/// TMK_FABRIC_BURST); DSM counters are protocol observables, computed
-/// above the transport and burst-invariant by construction.
+/// host syscall and wake costs (they vary with the host schedule); DSM
+/// counters are protocol observables, computed above the transport.
 /// The JSON writer groups columns by layer, preserving the historical
 /// key order.
 enum class Layer : std::uint8_t { kHost, kDsm };

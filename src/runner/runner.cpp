@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -132,7 +131,7 @@ void write_report(int fd, const ProcReport& r) {
   }
 }
 
-[[noreturn]] void child_main(mpl::Fabric& fabric, int rank,
+[[noreturn]] void child_main(const mpl::Fabric& fabric, int rank,
                              const SpawnOptions& options,
                              const tmk::Config& config,
                              const HeapMapping& heap, const ChildFn& fn,
@@ -141,11 +140,6 @@ void write_report(int fd, const ProcReport& r) {
   report.rank = static_cast<std::uint32_t>(rank);
   try {
     mpl::Endpoint endpoint(fabric, rank, options.model);
-    {
-      // Drop the parent-side region handle; the endpoint owns its view.
-      mpl::Fabric discard = std::move(fabric);
-      (void)discard;
-    }
     ChildContext ctx{endpoint, heap.base(), heap.bytes(), config};
     const double checksum = fn(ctx);
     report.checksum = checksum;
@@ -248,10 +242,6 @@ RunResult spawn_threads(int nprocs, const SpawnOptions& options,
   // copy-on-write heap provides.
   std::deque<HeapMapping> heaps;
   mpl::Fabric fabric(nprocs, mpl::TransportKind::kInproc);
-  // Death propagation: the first rank to fail poisons the mesh so every
-  // survivor's next blocking wait unwinds naming it, instead of the
-  // whole suite parking until the watchdog.
-  std::unique_ptr<mpl::PeerKiller> killer = fabric.make_peer_killer();
 
   std::mutex mu;
   std::condition_variable cv;
@@ -265,7 +255,7 @@ RunResult spawn_threads(int nprocs, const SpawnOptions& options,
     HeapMapping& heap = heaps.emplace_back(options.shared_heap_bytes);
     ProcReport& report = result.procs[static_cast<std::size_t>(rank)];
     ranks.emplace_back([&fabric, &options, &config, &fn, &mu, &cv, &finished,
-                        &first_failed, &done_flags, &killer, rank,
+                        &first_failed, &done_flags, rank,
                         heap_p = &heap, report_p = &report] {
       ProcReport& rep = *report_p;
       rep.rank = static_cast<std::uint32_t>(rank);
@@ -296,8 +286,11 @@ RunResult spawn_threads(int nprocs, const SpawnOptions& options,
       done_flags[static_cast<std::size_t>(rank)] = 1;
       ++finished;
       if (rep.ok != 1 && first_failed < 0) {
+        // Death propagation: the first rank to fail poisons the mesh so
+        // every survivor's next blocking wait unwinds naming it, instead
+        // of the whole suite parking until the watchdog.
         first_failed = rank;
-        killer->poison(rank);
+        fabric.poison(rank);
       }
       cv.notify_all();
     });
@@ -387,14 +380,7 @@ RunResult spawn(int nprocs, const SpawnOptions& options, const ChildFn& fn) {
     pids[static_cast<std::size_t>(rank)] = pid;
   }
 
-  // Parent: build the death-propagation handle (it takes over the
-  // parent's view of the ring region), then drop the remaining fabric
-  // state and the report pipes' write ends so the children own them.
-  std::unique_ptr<mpl::PeerKiller> killer = fabric.make_peer_killer();
-  {
-    mpl::Fabric discard = std::move(fabric);
-    (void)discard;
-  }
+  // Parent: drop the report pipes' write ends so the children own them.
   for (auto& w : report_w) w.reset();
 
   // Gather reports with a watchdog. On the first terminal child failure
@@ -466,7 +452,7 @@ RunResult spawn(int nprocs, const SpawnOptions& options, const ChildFn& fn) {
       }
       if (off == sizeof(ProcReport) && rep.ok != 1 && failed_rank < 0) {
         failed_rank = rank;
-        killer->poison(rank);
+        fabric.poison(rank);
         deadline.arm_grace(kPoisonGraceSec);
       }
     }

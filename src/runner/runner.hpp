@@ -6,17 +6,17 @@
 //   Backend::kProcess (the original): forks one child per rank. Before
 //   forking, the harness maps the DSM shared heap (so every child
 //   inherits it at the same virtual address — the zero-page invariant
-//   of tmk/runtime.hpp) and the MAP_SHARED ring region
-//   (mpl::ShmTransport). Each child adopts its endpoint, executes the
-//   supplied function, and reports a fixed-size result record through
-//   a pipe; children leave via _exit().
+//   of tmk/runtime.hpp) and the MAP_SHARED ring region (mpl::Fabric).
+//   Each child builds its endpoint over the inherited region, executes
+//   the supplied function, and reports a fixed-size result record
+//   through a pipe; children leave via _exit().
 //
 //   Backend::kThread: runs each rank as a std::thread of the calling
 //   process — no fork, no exec, no fd inheritance. Each rank gets its
 //   own private heap mapping at a distinct address range (the
 //   process-wide SIGSEGV handler dispatches faults by address to the
 //   owning rank's DSM runtime), and the ring mesh lives in a
-//   process-private region (mpl::InprocTransport). Fast to launch and
+//   process-private region (mpl::Fabric). Fast to launch and
 //   — unlike fork — visible to ThreadSanitizer as ONE program, which is
 //   what lets CI race-check the full coherence protocol.
 //
@@ -147,7 +147,7 @@ struct SpawnOptions {
 /// Throws common::Error if any rank fails, crashes, or times out.
 ///
 /// Failure semantics (both backends): the first rank to die poisons the
-/// mesh (mpl::PeerKiller), so every survivor's next blocking wait
+/// mesh (mpl::Fabric::poison), so every survivor's next blocking wait
 /// unwinds in bounded time with a blame line naming the dead rank and
 /// the wait site, instead of parking until the global watchdog. The
 /// error reported is the chronologically FIRST failure — the root

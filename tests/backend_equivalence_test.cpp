@@ -28,7 +28,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <tuple>
 
 #include "apps/registry.hpp"
 #include "env_guard.hpp"
@@ -130,72 +129,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{"jacobi", apps::System::kPvme, 4},
                       Case{"mgs", apps::System::kPvme, 4}),
     [](const auto& info) { return case_name(info.param); });
-
-// ---- burst-mode invariance on both backends --------------------------
-
-// TMK_FABRIC_BURST changes only host-side publish batching; the
-// modelled results must be bit-identical with it on and off, on the
-// thread backend's inproc mesh just as on the forked shm mesh (the
-// cross-transport suite sweeps every registry workload on shm). The
-// env var is read at transport construction, so toggling it between
-// spawns — including between thread-backend spawns in one process —
-// takes effect.
-class BurstInvariance
-    : public ::testing::TestWithParam<std::tuple<Case, runner::Backend>> {};
-
-TEST_P(BurstInvariance, ModelledResultsAreBitIdentical) {
-  const auto& [c, b] = GetParam();
-  auto run = [&](bool burst) {
-    test::BurstEnv env(burst);
-    return run_case(c, b);
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  EXPECT_DOUBLE_EQ(on.checksum, off.checksum) << c.key;
-  EXPECT_EQ(on.max_vt_ns, off.max_vt_ns) << c.key;
-  for (std::size_t l = 0; l < on.total.messages.size(); ++l) {
-    EXPECT_EQ(on.total.messages[l], off.total.messages[l])
-        << c.key << " layer " << l;
-    EXPECT_EQ(on.total.bytes[l], off.total.bytes[l])
-        << c.key << " layer " << l;
-  }
-  for (int p = 0; p < c.nprocs; ++p) {
-    EXPECT_EQ(on.procs[static_cast<std::size_t>(p)].vt_ns,
-              off.procs[static_cast<std::size_t>(p)].vt_ns)
-        << c.key << " rank " << p;
-    EXPECT_DOUBLE_EQ(on.procs[static_cast<std::size_t>(p)].checksum,
-                     off.procs[static_cast<std::size_t>(p)].checksum)
-        << c.key << " rank " << p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, BurstInvariance,
-    ::testing::Combine(::testing::Values(Case{"jacobi", apps::System::kPvme, 4},
-                                         Case{"mgs", apps::System::kPvme, 4}),
-                       ::testing::Values(runner::Backend::kProcess,
-                                         runner::Backend::kThread)),
-    [](const auto& info) {
-      return case_name(std::get<0>(info.param)) + "_" +
-             runner::to_string(std::get<1>(info.param));
-    });
-
-// DSM twin on the thread backend (traffic totals stay schedule-
-// dependent, so only the per-rank checksums transfer — same contract
-// as CrossBackendDsm).
-TEST(BurstInvarianceDsm, ThreadBackendChecksumsBurstInvariant) {
-  const Case c{"jacobi", apps::System::kTmk, 4};
-  auto run = [&](bool burst) {
-    test::BurstEnv env(burst);
-    return run_case(c, runner::Backend::kThread);
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  for (int p = 0; p < c.nprocs; ++p)
-    EXPECT_DOUBLE_EQ(on.procs[static_cast<std::size_t>(p)].checksum,
-                     off.procs[static_cast<std::size_t>(p)].checksum)
-        << c.key << " rank " << p;
-}
 
 // ---- epoch-GC invariance across backends ------------------------------
 

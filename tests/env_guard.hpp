@@ -1,5 +1,5 @@
 // Scoped environment-variable override for tests that toggle runtime
-// knobs (e.g. TMK_FABRIC_BURST) between spawns. Restores the prior
+// knobs (e.g. TMK_EPOCH_GC) between spawns. Restores the prior
 // value — including "unset" — on scope exit. Not safe to construct
 // while rank threads are running: setenv/getenv are not synchronized,
 // so set the guard up BEFORE runner::spawn and let it outlive the run.
@@ -40,12 +40,6 @@ class EnvGuard {
   std::string name_;
   std::string prev_;
   bool had_prev_ = false;
-};
-
-/// TMK_FABRIC_BURST=1/0 for the guard's lifetime.
-class BurstEnv : public EnvGuard {
- public:
-  explicit BurstEnv(bool on) : EnvGuard("TMK_FABRIC_BURST", on ? "1" : "0") {}
 };
 
 /// TMK_RACECHECK=<mode> ("off"/"summary"/"precise") for the guard's

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 #include "common/check.hpp"
@@ -172,6 +173,42 @@ TEST(Runner, RejectsTooManyProcs) {
   EXPECT_THROW(runner::spawn(mpl::kMaxProcs + 1, fast_options(),
                              [](runner::ChildContext&) { return 0.0; }),
                common::Error);
+}
+
+/// KiB this process has mapped in mappings of at least 128 MiB. A
+/// 16-rank ring region is one (1024 rings of 128 KiB plus control
+/// blocks); malloc arenas (64 MiB each, created by rank threads at the
+/// allocator's discretion) and thread stacks are smaller, so unlike
+/// VmSize this total does not move with them.
+long long large_mappings_kib() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  long long kib = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    unsigned long long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx", &lo, &hi) == 2 &&
+        hi - lo >= (128ull << 20))
+      kib += static_cast<long long>((hi - lo) >> 10);
+  }
+  return kib;
+}
+
+// Each spawn maps a ring region and must unmap it before returning, on
+// both backends: 24 leaked 16-rank regions would add about 3 GiB.
+TEST(Runner, RingRegionIsUnmappedWhenSpawnReturns) {
+  const auto trivial = [](runner::ChildContext&) { return 0.0; };
+  for (const runner::Backend b :
+       {runner::Backend::kProcess, runner::Backend::kThread}) {
+    auto opts = fast_options();
+    opts.backend = b;
+    runner::spawn(16, opts, trivial);
+    const long long before = large_mappings_kib();
+    ASSERT_GE(before, 0);
+    for (int i = 0; i < 24; ++i) runner::spawn(16, opts, trivial);
+    EXPECT_LT(large_mappings_kib() - before, 128 * 1024)
+        << runner::to_string(b);
+  }
 }
 
 // ---- thread backend ---------------------------------------------------

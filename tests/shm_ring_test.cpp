@@ -1,6 +1,6 @@
 // SPSC ring unit tests: record framing, wrap-boundary handling with
 // randomized message sizes, capacity behaviour, and a two-thread
-// producer/consumer stress (the shape ShmTransport uses it in).
+// producer/consumer stress (the shape mpl::Transport uses it in).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/prng.hpp"
-#include "mpl/shm_transport.hpp"
 #include "mpl/spsc_ring.hpp"
+#include "mpl/transport.hpp"
 
 namespace {
 

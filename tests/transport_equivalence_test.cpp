@@ -3,16 +3,14 @@
 // The point of the Transport split is that the interconnect is
 // invisible to the modelled system: what the paper reports — checksums,
 // message and byte counts, modelled execution times — must not depend
-// on where the ring mesh lives or how its publishes are batched. There
-// are two placements, and the runner backend picks one: a MAP_SHARED
-// region the process backend's forked ranks inherit (shm), or a
-// process-private region the thread backend's rank threads share
-// (inproc). This suite runs every registry workload, at its first
-// checksum size, on both placements and with TMK_FABRIC_BURST on and
-// off, under a deterministic model (communication constants from the
-// SP/2 model, compute scaled to zero so host timing noise cannot enter
-// the virtual clock) and asserts the strongest invariant each protocol
-// admits:
+// on where the ring mesh lives. There are two placements, and the
+// runner backend picks one: a MAP_SHARED region the process backend's
+// forked ranks inherit (shm), or a process-private region the thread
+// backend's rank threads share (inproc). This suite runs every registry
+// workload, at its first checksum size, on both placements under a
+// deterministic model (communication constants from the SP/2 model,
+// compute scaled to zero so host timing noise cannot enter the virtual
+// clock) and asserts the strongest invariant each protocol admits:
 //
 //  - Message-passing variants (kPvme) have a FIXED communication
 //    schedule, so everything is asserted bit-identical: checksums,
@@ -36,7 +34,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -203,60 +200,6 @@ INSTANTIATE_TEST_SUITE_P(Registry, CrossTransportMp,
                          [](const auto& info) {
                            return case_name(info.param);
                          });
-
-// ---- burst-mode invariance: TMK_FABRIC_BURST on vs off ---------------
-
-// The burst fabric coalesces host-side publishes (staged ring frames,
-// one doorbell per burst) but must be invisible to the modelled
-// system: frame contents, delivery order per (sender, lane), and hence
-// every modelled counter, vector clock, and checksum are bit-identical
-// with bursting disabled. Swept here on the forked shm mesh; the
-// inproc mesh's legs are BurstInvariance in backend_equivalence_test.
-runner::RunResult run_burst(const Case& c, mpl::TransportKind t, bool burst) {
-  test::BurstEnv env(burst);
-  return run_case(c, t);
-}
-
-std::string burst_case_name(const std::tuple<Case, mpl::TransportKind>& p) {
-  return case_name(std::get<0>(p)) + "_" + mpl::to_string(std::get<1>(p));
-}
-
-class BurstInvarianceMp
-    : public ::testing::TestWithParam<std::tuple<Case, mpl::TransportKind>> {};
-
-TEST_P(BurstInvarianceMp, ModelledResultsAreBitIdentical) {
-  const auto& [c, t] = GetParam();
-  expect_bit_identical(c, run_burst(c, t, true), run_burst(c, t, false));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, BurstInvarianceMp,
-    ::testing::Combine(::testing::ValuesIn(mp_cases()),
-                       ::testing::Values(mpl::TransportKind::kShm)),
-    [](const auto& info) { return burst_case_name(info.param); });
-
-class BurstInvarianceDsm
-    : public ::testing::TestWithParam<std::tuple<Case, mpl::TransportKind>> {};
-
-TEST_P(BurstInvarianceDsm, ChecksumsAreBurstInvariant) {
-  const auto& [c, t] = GetParam();
-  const auto on = run_burst(c, t, true);
-  const auto off = run_burst(c, t, false);
-  if (lock_dependent(c)) {
-    // Reduction order is contention-dependent either way; both modes
-    // must still satisfy the vs-sequential contract.
-    expect_matches_sequential(c, on);
-    expect_matches_sequential(c, off);
-    return;
-  }
-  expect_same_checksums(c, on, off);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, BurstInvarianceDsm,
-    ::testing::Combine(::testing::ValuesIn(dsm_cases()),
-                       ::testing::Values(mpl::TransportKind::kShm)),
-    [](const auto& info) { return burst_case_name(info.param); });
 
 // ---- epoch-GC wire invariance ----------------------------------------
 
