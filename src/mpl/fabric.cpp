@@ -335,12 +335,6 @@ void Endpoint::trim_buffer_pools() {
   app_buffer_pool_.takes = 0;
 }
 
-bool Endpoint::has_pending(FramePredicate pred) const {
-  for (const Frame& f : pending_)
-    if (pred(f)) return true;
-  return false;
-}
-
 Frame Endpoint::wait_app(FramePredicate pred) {
   // Operation boundary: anything batched must reach its peer before we
   // block — the frame we are about to wait for may be its reply.

@@ -177,9 +177,6 @@ class Endpoint {
   /// Non-blocking drain of app channels into the pending queue.
   void pump();
 
-  /// True if a frame matching `pred` is already queued.
-  [[nodiscard]] bool has_pending(FramePredicate pred) const;
-
   /// Returns a consumed frame's payload buffer to the receive pool, so
   /// steady-state traffic recycles capacity instead of re-allocating.
   /// Optional: an un-recycled payload is simply freed. Main thread only.
@@ -213,7 +210,6 @@ class Endpoint {
   /// appears in crash reports and blame errors. The pointee must
   /// outlive the call (it is copied into a bounded buffer).
   void set_wait_site(const char* site) noexcept;
-  [[nodiscard]] const char* wait_site() const noexcept { return wait_site_; }
 
   /// Registers a protocol-state dumper for crash reports (the DSM
   /// runtime dumps its vector clock, barrier phase, and lock table).

@@ -131,18 +131,19 @@ void write_report(int fd, const ProcReport& r) {
   }
 }
 
-[[noreturn]] void child_main(const mpl::Fabric& fabric, int rank,
-                             const SpawnOptions& options,
-                             const tmk::Config& config,
-                             const HeapMapping& heap, const ChildFn& fn,
-                             int report_fd) {
+/// One rank's body on either backend: builds the rank's Endpoint and
+/// ChildContext, runs `fn` and returns the rank's report. Called on the
+/// rank's own thread: the ring mesh keys its sender slots off the thread
+/// that constructs the Endpoint.
+ProcReport run_rank(const mpl::Fabric& fabric, int rank,
+                    const SpawnOptions& options, const tmk::Config& config,
+                    const HeapMapping& heap, const ChildFn& fn) {
   ProcReport report;
   report.rank = static_cast<std::uint32_t>(rank);
   try {
     mpl::Endpoint endpoint(fabric, rank, options.model);
     ChildContext ctx{endpoint, heap.base(), heap.bytes(), config};
-    const double checksum = fn(ctx);
-    report.checksum = checksum;
+    report.checksum = fn(ctx);
     report.vt_ns = endpoint.measured_vt();
     report.cpu_ns = common::thread_cpu_ns();
     report.host_transport_ns = endpoint.clock().host_transport_ns();
@@ -158,6 +159,15 @@ void write_report(int fd, const ProcReport& r) {
     std::snprintf(report.error, sizeof(report.error), "unknown exception");
     report.ok = 0;
   }
+  return report;
+}
+
+[[noreturn]] void child_main(const mpl::Fabric& fabric, int rank,
+                             const SpawnOptions& options,
+                             const tmk::Config& config,
+                             const HeapMapping& heap, const ChildFn& fn,
+                             int report_fd) {
+  const ProcReport report = run_rank(fabric, rank, options, config, heap, fn);
   write_report(report_fd, report);
   // Child-side printf output (examples) is block-buffered when stdout is
   // a pipe; _exit skips stdio teardown, so flush explicitly.
@@ -235,11 +245,10 @@ RunResult spawn_threads(int nprocs, const SpawnOptions& options,
   result.transport = mpl::TransportKind::kInproc;
   result.procs.resize(static_cast<std::size_t>(nprocs));
 
-  // Distinct per-rank heaps: each mmap lands at its own address range,
-  // which is what lets the process-wide SIGSEGV handler route a fault
-  // to the owning rank's DSM runtime. Fresh anonymous mappings give
-  // every rank the same all-zero starting pages the fork backend's
-  // copy-on-write heap provides.
+  // Distinct per-rank heaps: each rank's pages need their own contents
+  // and protections, so each rank maps its own range. Fresh anonymous
+  // mappings give every rank the same all-zero starting pages the fork
+  // backend's copy-on-write heap provides.
   std::deque<HeapMapping> heaps;
   mpl::Fabric fabric(nprocs, mpl::TransportKind::kInproc);
 
@@ -255,37 +264,12 @@ RunResult spawn_threads(int nprocs, const SpawnOptions& options,
     HeapMapping& heap = heaps.emplace_back(options.shared_heap_bytes);
     ProcReport& report = result.procs[static_cast<std::size_t>(rank)];
     ranks.emplace_back([&fabric, &options, &config, &fn, &mu, &cv, &finished,
-                        &first_failed, &done_flags, rank,
-                        heap_p = &heap, report_p = &report] {
-      ProcReport& rep = *report_p;
-      rep.rank = static_cast<std::uint32_t>(rank);
-      try {
-        // The Endpoint (and its transport) must be built on the rank's
-        // own thread: the ring mesh keys its sender slots off the
-        // constructing thread.
-        mpl::Endpoint endpoint(fabric, rank, options.model);
-        ChildContext ctx{endpoint, heap_p->base(), heap_p->bytes(), config};
-        const double checksum = fn(ctx);
-        rep.checksum = checksum;
-        rep.vt_ns = endpoint.measured_vt();
-        rep.cpu_ns = common::thread_cpu_ns();
-        rep.host_transport_ns = endpoint.clock().host_transport_ns();
-        rep.ctrs = ctx.ctrs;
-        rep.ctrs[ctr::Id::kHostSendCalls] = endpoint.host_stats().send_calls;
-        rep.ctrs[ctr::Id::kHostFutexWakes] = endpoint.host_stats().futex_wakes;
-        rep.counters = endpoint.measured_counters();
-        rep.ok = 1;
-      } catch (const std::exception& e) {
-        std::snprintf(rep.error, sizeof(rep.error), "%s", e.what());
-        rep.ok = 0;
-      } catch (...) {
-        std::snprintf(rep.error, sizeof(rep.error), "unknown exception");
-        rep.ok = 0;
-      }
+                        &first_failed, &done_flags, rank, &heap, &report] {
+      report = run_rank(fabric, rank, options, config, heap, fn);
       std::lock_guard<std::mutex> g(mu);
       done_flags[static_cast<std::size_t>(rank)] = 1;
       ++finished;
-      if (rep.ok != 1 && first_failed < 0) {
+      if (report.ok != 1 && first_failed < 0) {
         // Death propagation: the first rank to fail poisons the mesh so
         // every survivor's next blocking wait unwinds naming it, instead
         // of the whole suite parking until the watchdog.

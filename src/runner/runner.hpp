@@ -14,8 +14,8 @@
 //   Backend::kThread: runs each rank as a std::thread of the calling
 //   process — no fork, no exec, no fd inheritance. Each rank gets its
 //   own private heap mapping at a distinct address range (the
-//   process-wide SIGSEGV handler dispatches faults by address to the
-//   owning rank's DSM runtime), and the ring mesh lives in a
+//   process-wide SIGSEGV handler hands each fault to the faulting rank
+//   thread's own DSM runtime), and the ring mesh lives in a
 //   process-private region (mpl::Fabric). Fast to launch and
 //   — unlike fork — visible to ThreadSanitizer as ONE program, which is
 //   what lets CI race-check the full coherence protocol.

@@ -24,124 +24,14 @@ namespace tmk {
 
 namespace {
 
-// Fault-dispatch registry: one slot per live Runtime in this process.
-// Slots are claimed by CAS so concurrent rank threads (the thread
-// backend constructs all ranks' runtimes at once) need no lock, and
-// reads are plain atomic loads — async-signal-safe. The process
-// backend occupies exactly one slot per child. This unsorted array is
-// the ground truth; the sorted index below is an accelerator.
-std::atomic<Runtime*> g_runtimes[mpl::kMaxProcs] = {};
-
-// Sorted heap-range index: owner_of's O(log n) fast path. At 128 rank
-// threads the former linear scan put up to 128 range probes on every
-// page fault's critical path; the handler now binary-searches this
-// base-sorted table instead. Writers (Runtime construction and
-// destruction) serialize on g_range_mu and publish via the seqlock
-// g_range_version (odd while mutating); the reader — the SIGSEGV
-// handler, async-signal-safe by construction — retries on a torn read
-// a bounded number of times and falls back to the linear ground-truth
-// scan, so a fault taken while another thread is mid-registration can
-// never spin forever (not even on a genuine wild-pointer crash taken
-// by the registering thread itself, which holds g_range_mu).
-struct HeapRange {
-  std::atomic<std::uintptr_t> base{0};
-  std::atomic<std::uintptr_t> end{0};
-  std::atomic<Runtime*> rt{nullptr};
-};
-HeapRange g_ranges[mpl::kMaxProcs];
-std::atomic<std::uint32_t> g_range_count{0};
-std::atomic<std::uint32_t> g_range_version{0};
-std::mutex g_range_mu;
-
-void range_index_insert(Runtime* rt, std::uintptr_t base,
-                        std::uintptr_t end) {
-  std::lock_guard<std::mutex> g(g_range_mu);
-  const std::uint32_t n = g_range_count.load(std::memory_order_relaxed);
-  COMMON_CHECK(n < static_cast<std::uint32_t>(mpl::kMaxProcs));
-  g_range_version.fetch_add(1, std::memory_order_acq_rel);  // odd: mutating
-  std::uint32_t i = n;
-  while (i > 0 && g_ranges[i - 1].base.load(std::memory_order_relaxed) >
-                      base) {
-    g_ranges[i].base.store(
-        g_ranges[i - 1].base.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    g_ranges[i].end.store(g_ranges[i - 1].end.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    g_ranges[i].rt.store(g_ranges[i - 1].rt.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    --i;
-  }
-  g_ranges[i].base.store(base, std::memory_order_relaxed);
-  g_ranges[i].end.store(end, std::memory_order_relaxed);
-  g_ranges[i].rt.store(rt, std::memory_order_relaxed);
-  g_range_count.store(n + 1, std::memory_order_relaxed);
-  g_range_version.fetch_add(1, std::memory_order_release);  // even: stable
-}
-
-void range_index_erase(Runtime* rt) {
-  std::lock_guard<std::mutex> g(g_range_mu);
-  const std::uint32_t n = g_range_count.load(std::memory_order_relaxed);
-  std::uint32_t i = 0;
-  while (i < n && g_ranges[i].rt.load(std::memory_order_relaxed) != rt) ++i;
-  if (i == n) return;  // never indexed (construction failure path)
-  g_range_version.fetch_add(1, std::memory_order_acq_rel);
-  for (; i + 1 < n; ++i) {
-    g_ranges[i].base.store(
-        g_ranges[i + 1].base.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    g_ranges[i].end.store(g_ranges[i + 1].end.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    g_ranges[i].rt.store(g_ranges[i + 1].rt.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  g_ranges[n - 1].rt.store(nullptr, std::memory_order_relaxed);
-  g_range_count.store(n - 1, std::memory_order_relaxed);
-  g_range_version.fetch_add(1, std::memory_order_release);
-}
-
 // The rank context of the calling thread: the Runtime constructed on
-// it. Thread-local, so every rank thread resolves to its own.
+// it, which the SIGSEGV handler hands this thread's faults to.
+// Thread-local, so every rank thread resolves to its own.
 thread_local Runtime* t_runtime = nullptr;
 
 }  // namespace
 
 Runtime* Runtime::instance() noexcept { return t_runtime; }
-
-Runtime* Runtime::owner_of(const void* addr) noexcept {
-  const auto a = reinterpret_cast<std::uintptr_t>(addr);
-  // Fast path: seqlock-validated binary search over the sorted index.
-  constexpr int kMaxAttempts = 64;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const std::uint32_t v1 = g_range_version.load(std::memory_order_acquire);
-    if ((v1 & 1u) != 0) continue;  // writer mid-update
-    const std::uint32_t n = g_range_count.load(std::memory_order_acquire);
-    // Greatest entry with base <= a.
-    std::uint32_t lo = 0;
-    std::uint32_t hi = n;
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (g_ranges[mid].base.load(std::memory_order_relaxed) <= a)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    Runtime* rt = nullptr;
-    if (lo > 0 && a < g_ranges[lo - 1].end.load(std::memory_order_relaxed))
-      rt = g_ranges[lo - 1].rt.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (g_range_version.load(std::memory_order_relaxed) == v1) return rt;
-  }
-  // A writer is churning the index (concurrent runtime construction or
-  // destruction). The unsorted slot array is always consistent entry by
-  // entry; scan it instead of spinning.
-  for (const auto& slot : g_runtimes) {
-    Runtime* rt = slot.load(std::memory_order_acquire);
-    if (rt == nullptr) continue;
-    const auto base = reinterpret_cast<std::uintptr_t>(rt->heap_);
-    if (a >= base && a < base + rt->heap_len_) return rt;
-  }
-  return nullptr;
-}
 
 // Defined in sigsegv.cpp.
 void install_sigsegv_handler();
@@ -186,7 +76,6 @@ Runtime::Runtime(runner::ChildContext& ctx)
   worker_vc_.resize(static_cast<std::size_t>(nprocs_));
   fetch_needs_.resize(static_cast<std::size_t>(nprocs_));
   fetch_outstanding_.reserve(static_cast<std::size_t>(nprocs_));
-  main_tid_ = pthread_self();
 
   // Knobs come from cfg_, the run's snapshot (resolved once at spawn —
   // env parsing and warn-once validation live in tmk/config.hpp). Only
@@ -211,39 +100,13 @@ Runtime::Runtime(runner::ChildContext& ctx)
   ep_.set_forensics(&Runtime::write_forensics, this);
   service_ = std::thread([this] { service_loop(); });
 
-  // Publish to the fault-dispatch registry LAST, after every fallible
-  // construction step: if anything above threw, no slot could be left
-  // dangling (the destructor of a half-built object never runs). This
-  // is still before the first heap fault — the heap is PROT_READ and
-  // application code only touches it after the constructor returns;
-  // the calibration probe above dispatches via its own thread-local
-  // page, not the registry.
+  // Claim the thread LAST, after every fallible construction step, so a
+  // constructor that throws leaves the thread free for another Runtime
+  // (the destructor of a half-built object never runs). This is still
+  // before the first heap fault: the heap is PROT_READ and application
+  // code only touches it after the constructor returns; the calibration
+  // probe above is matched by its own thread-local page.
   t_runtime = this;
-  bool claimed = false;
-  for (auto& slot : g_runtimes) {
-    Runtime* expected = nullptr;
-    if (slot.compare_exchange_strong(expected, this,
-                                     std::memory_order_acq_rel)) {
-      claimed = true;
-      break;
-    }
-  }
-  if (!claimed) {
-    // Undo the started service thread before reporting; the error path
-    // must leave no trace of this runtime.
-    stop_.store(true, std::memory_order_release);
-    ep_.wake_service();
-    service_.join();
-    t_runtime = nullptr;
-    COMMON_CHECK_MSG(false, "fault-dispatch registry full: more than "
-                                << mpl::kMaxProcs
-                                << " live Runtimes in one process");
-  }
-  // Index the heap range for the handler's binary search. Ordered after
-  // the slot claim so the linear fallback already finds this runtime
-  // while the index write is in flight.
-  const auto base = reinterpret_cast<std::uintptr_t>(heap_);
-  range_index_insert(this, base, base + heap_len_);
 }
 
 Runtime::~Runtime() {
@@ -254,13 +117,6 @@ Runtime::~Runtime() {
     // missing report in the harness.
   }
   ep_.set_forensics(nullptr, nullptr);
-  range_index_erase(this);
-  for (auto& slot : g_runtimes) {
-    Runtime* expected = this;
-    if (slot.compare_exchange_strong(expected, nullptr,
-                                     std::memory_order_acq_rel))
-      break;
-  }
   t_runtime = nullptr;
   uninstall_thread_sigaltstack();
   if (self_mem_fd_ >= 0) ::close(self_mem_fd_);
@@ -1120,19 +976,15 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
 bool Runtime::handle_fault(void* addr, bool is_write_hint) {
   const auto a = reinterpret_cast<std::uintptr_t>(addr);
   const auto base = reinterpret_cast<std::uintptr_t>(heap_);
-  if (a < base || a >= base + heap_len_) return false;
-  if (!pthread_equal(pthread_self(), main_tid_)) {
-    // The faulting thread is not this runtime's application thread: a
-    // service thread touched protected pages, or — thread backend — a
-    // rank scribbled into a PEER's heap range (e.g. per-rank state
-    // leaked through a shared global). Unrecoverable; dying loudly here
-    // beats throwing a C++ exception through the signal frame.
+  if (a < base || a >= base + heap_len_) {
+    // Not a page of this rank's heap: a null or wild pointer, or (thread
+    // backend) a rank scribbling into a PEER's heap, e.g. per-rank state
+    // leaked through a shared global. Unrecoverable: name it here, and
+    // the handler passes the signal on to the previous action.
     std::fprintf(stderr,
-                 "tmk: fault at %p belongs to rank %d's heap but was taken "
-                 "on a foreign thread — cross-rank wild pointer?\n",
-                 addr, rank_);
-    std::fflush(nullptr);
-    std::abort();
+                 "tmk: rank %d: fault at %p outside its heap [%p, %p)\n",
+                 rank_, addr, heap_, reinterpret_cast<void*>(base + heap_len_));
+    return false;
   }
 
   simx::ProtocolSection protocol(ep_.clock(), host_fault_cost_ns_);

@@ -21,15 +21,12 @@
 // Threading model: the application runs on the rank's main thread; one
 // service thread per Runtime answers diff fetches and lock traffic.
 // The SIGSEGV handler runs on the faulting rank's main thread and
-// performs its own RPCs; the process-wide handler routes each fault to
-// the Runtime owning the faulted address (owner_of), so under the
-// runner's thread backend many rank runtimes — each with its own heap
-// range — coexist in one process. Internal state is guarded by mu_
-// with the strict rule that no thread blocks on the network while
-// holding it.
+// performs its own RPCs; the process-wide handler hands each fault to
+// the faulting thread's own Runtime (instance()), so under the runner's
+// thread backend many rank runtimes — each with its own heap range —
+// coexist in one process. Internal state is guarded by mu_ with the
+// strict rule that no thread blocks on the network while holding it.
 #pragma once
-
-#include <pthread.h>
 
 #include <array>
 #include <atomic>
@@ -111,11 +108,11 @@ class Runtime {
   };
 
   /// Attaches the DSM to the rank's heap mapping and starts the
-  /// service thread. Exactly one Runtime may exist per rank: one per
-  /// process under the fork backend, one per rank thread under the
-  /// thread backend (each registered in a process-wide fault-dispatch
-  /// table keyed by heap address range). Every protocol knob comes from
-  /// the run's Config snapshot, ctx.config.
+  /// service thread. At most one Runtime may be alive per rank thread
+  /// (throws common::Error otherwise); it becomes the thread's
+  /// instance(), which takes the thread's faults, until it is destroyed.
+  /// Every protocol knob comes from the run's Config snapshot,
+  /// ctx.config.
   explicit Runtime(runner::ChildContext& ctx);
   ~Runtime();
 
@@ -255,18 +252,15 @@ class Runtime {
   void shutdown();
 
   /// The Runtime whose application thread is the calling thread (set at
-  /// construction, cleared at destruction), or null. Under the thread
-  /// backend every rank thread resolves to its own context.
+  /// construction, cleared at destruction), or null — the SIGSEGV
+  /// handler's only lookup. Under the thread backend every rank thread
+  /// resolves to its own context.
   [[nodiscard]] static Runtime* instance() noexcept;
 
-  /// The live Runtime whose shared heap contains `addr`, or null — the
-  /// process-wide SIGSEGV handler's fault-dispatch lookup. Lock-free
-  /// and async-signal-safe: it scans a fixed table of atomic slots.
-  [[nodiscard]] static Runtime* owner_of(const void* addr) noexcept;
-
-  /// SIGSEGV entry point (the owning rank's application thread only).
-  /// Returns false if the address is outside the shared heap (the
-  /// handler then re-raises).
+  /// SIGSEGV entry point, on this Runtime's application thread. Returns
+  /// false if the address is outside this rank's heap, after one `tmk:`
+  /// stderr line naming the rank, the address and the heap range (the
+  /// handler then passes the signal to the previous action).
   bool handle_fault(void* addr, bool is_write);
 
   /// Total bytes of shared heap managed.
@@ -687,7 +681,6 @@ class Runtime {
   std::uint32_t next_req_id_ = 1;
   // Manager-side record of the last process to request each lock.
   std::vector<ProcId> lock_last_requester_;
-  pthread_t main_tid_{};
 
   // Host-side cost of delivering one page fault (measured at startup);
   // excluded from scaled compute at each fault.

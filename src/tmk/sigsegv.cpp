@@ -10,11 +10,13 @@
 // treats the first fault as a read; the retried store then faults again
 // on the now read-only page, which is unambiguously a write.
 //
-// The handler is process-wide but the DSM contexts are per rank: the
-// fault address is matched against every live Runtime's heap range
-// (Runtime::owner_of), which is what lets the thread backend run many
-// ranks — each with a private heap at a distinct address — in one
-// address space.
+// The handler is process-wide but the DSM contexts are per rank. A
+// SIGSEGV is delivered to the thread that touched the page, and only a
+// rank's application thread touches its heap, so the handler hands each
+// fault to the faulting thread's own Runtime (Runtime::instance()). That
+// is the same route on both backends, and it is what lets the thread
+// backend run many ranks, each with a private heap at a distinct
+// address, in one address space.
 #include <signal.h>
 #include <sys/mman.h>
 #include <ucontext.h>
@@ -72,9 +74,9 @@ void handler(int /*sig*/, siginfo_t* info, void* uctx) {
 #else
   (void)uctx;
 #endif
-  // Dispatch by address: with the thread backend several rank runtimes
-  // coexist in this process, each owning a distinct heap range.
-  Runtime* rt = Runtime::owner_of(info->si_addr);
+  // A thread without a Runtime, or an address outside its Runtime's
+  // heap, is a genuine crash.
+  Runtime* rt = Runtime::instance();
   if (rt == nullptr || !rt->handle_fault(info->si_addr, is_write)) {
     restore_default_and_return();
   }

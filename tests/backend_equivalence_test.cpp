@@ -2,11 +2,11 @@
 //
 // The thread backend changes everything host-visible about a run — no
 // fork, per-rank heaps at distinct addresses, the ring mesh in a
-// private region instead of an inherited MAP_SHARED one, SIGSEGV
-// faults dispatched by address instead of by process — and nothing
-// modelled: the Endpoint core and the DSM protocol above it are
-// identical. So the modelled results must be backend-invariant, with
-// the strongest invariant each protocol admits:
+// private region instead of an inherited MAP_SHARED one, many rank
+// threads taking SIGSEGVs in one process — and nothing modelled: the
+// Endpoint core and the DSM protocol above it are identical. So the
+// modelled results must be backend-invariant, with the strongest
+// invariant each protocol admits:
 //
 //  - Message-passing variants (kPvme) have a FIXED communication
 //    schedule: checksums, per-layer message/byte counters, and
@@ -20,9 +20,10 @@
 //    save or cost a message run-to-run) on ANY backend, so they are not
 //    compared bit-wise.
 //
-// Also here: the regression test for the fault-dispatch path — many
-// rank threads taking SIGSEGVs concurrently on their own heaps, each
-// of which the process-wide handler must route to the owning runtime.
+// Also here: the regression test for the fault route — many rank
+// threads taking SIGSEGVs concurrently on their own heaps, each of
+// which the process-wide handler must hand to the faulting thread's own
+// runtime.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -272,15 +273,15 @@ TEST(CrossBackendTmk, BarrierLockFaultDigestIdentical) {
   }
 }
 
-// ---- SIGSEGV fault dispatch under concurrency -------------------------
+// ---- SIGSEGV fault route under concurrency ----------------------------
 
-// Regression test for the address-dispatched fault path: all rank
-// threads take write faults on their own heaps AT THE SAME TIME (no
-// synchronization between the allocations and the fault storm), so
-// the process-wide handler must concurrently route each fault to the
-// runtime owning the faulted address. A misroute dies loudly inside
-// handle_fault ("fault on a non-application thread" / out-of-range) or
-// corrupts the per-rank pattern verified below.
+// Regression test for the thread-local fault route: all rank threads
+// take write faults on their own heaps AT THE SAME TIME (no
+// synchronization between the allocations and the fault storm), so the
+// process-wide handler must concurrently hand each fault to the
+// faulting thread's own runtime (Runtime::instance()). A misroute dies
+// loudly in handle_fault ("tmk: rank R: fault at ... outside its heap")
+// or corrupts the per-rank pattern verified below.
 TEST(FaultDispatch, ConcurrentFaultsRouteToOwningRuntime) {
   constexpr int kRanks = 4;
   constexpr int kPages = 64;
@@ -311,8 +312,8 @@ TEST(FaultDispatch, ConcurrentFaultsRouteToOwningRuntime) {
         write_faults[static_cast<std::size_t>(me)] =
             rt.stats().write_faults;
         rt.barrier();
-        // Cross-check a peer's block through the DSM (read faults, also
-        // address-dispatched).
+        // Cross-check a peer's block through the DSM (read faults, on
+        // the same route).
         const int peer = (me + 1) % rt.nprocs();
         double sum = 0;
         for (int pg = 0; pg < kPages; ++pg)
@@ -327,8 +328,8 @@ TEST(FaultDispatch, ConcurrentFaultsRouteToOwningRuntime) {
       });
 
   for (const auto& p : r.procs) EXPECT_DOUBLE_EQ(p.checksum, 1.0);
-  // Every rank heap is a distinct, non-overlapping range — the property
-  // the dispatch relies on.
+  // Every rank heap is a distinct, non-overlapping range, so each rank
+  // thread's faults can only be on its own heap.
   for (int i = 0; i < kRanks; ++i) {
     EXPECT_NE(bases[static_cast<std::size_t>(i)], 0u);
     for (int j = i + 1; j < kRanks; ++j) {

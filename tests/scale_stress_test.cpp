@@ -4,11 +4,11 @@
 // process on the inproc ring mesh — which is what makes 64 and 128 rank
 // configurations affordable (no fork, no fd mesh) and visible to
 // ThreadSanitizer as one program: the TSan CI leg runs this binary as
-// its 64-rank barrier/fault stress target. The suite covers the
-// barrier and the structures the 32 -> 128 widening replaced:
+// its 64-rank barrier/fault stress target. The suite covers, at full
+// width:
 //
 //   - the centralized barrier manager at 2..128 ranks,
-//   - the binary-search fault dispatch (concurrent SIGSEGV storm at 64
+//   - the thread-local fault route (concurrent SIGSEGV storm at 64
 //     ranks),
 //   - the 7-bit creator packing (128 concurrent writers publishing
 //     write notices through one barrier).
@@ -91,11 +91,10 @@ TEST(ScaleStress, AllCreatorsVisibleAt128Ranks) {
 }
 
 // Fault storm at 64 ranks: every rank takes write faults on its own
-// heap concurrently with 63 others, so the process-wide handler's
-// binary-search dispatch (Runtime::owner_of) resolves 64 live heap
-// ranges under continuous concurrent faulting — while runtimes of a
-// previous run have been torn down and re-registered, which is what
-// churns the sorted index.
+// heap concurrently with 63 others and with peer Runtimes still being
+// constructed, so the process-wide handler must hand each of them to
+// the faulting thread's own Runtime (Runtime::instance()) while 64 are
+// live.
 TEST(ScaleStress, ConcurrentFaultStormAt64Ranks) {
   constexpr int kRanks = 64;
   constexpr int kPages = 8;

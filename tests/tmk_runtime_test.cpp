@@ -1,9 +1,14 @@
 // Multi-process TreadMarks consistency tests: real forked processes, real
 // SIGSEGV-driven page faults, the full lazy-release-consistency protocol.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 
+#include "common/check.hpp"
 #include "runner/runner.hpp"
 #include "tmk/runtime.hpp"
 
@@ -678,6 +683,70 @@ TEST(TmkRuntime, ForkJoinCosts2NMinus1Messages) {
   });
   // 5 loops * 2(n-1) + final dismissal fork (n-1).
   EXPECT_EQ(r.messages(mpl::Layer::kTmk), 5u * 2u * 7u + 7u);
+}
+
+// Two Runtimes in turn on each rank: destroying the first clears the
+// thread's instance(), so the second takes its own write faults and its
+// writes reach the peer; a third Runtime while the second is alive is
+// refused.
+TEST(TmkRuntime, SecondRuntimeOnARankTakesItsOwnFaults) {
+  constexpr int kPages = 8;
+  auto r = runner::spawn(2, fast_options(), [](runner::ChildContext& c) {
+    {
+      tmk::Runtime first(c);
+      first.barrier();
+    }
+    tmk::Runtime rt(c);
+    bool refused = false;
+    try {
+      tmk::Runtime third(c);
+    } catch (const common::Error&) {
+      refused = true;
+    }
+    auto* data = rt.alloc<std::int32_t>(2 * kPages * kIntsPerPage);
+    const int me = rt.rank();
+    for (int p = 0; p < kPages; ++p)
+      data[(me * kPages + p) * kIntsPerPage] = 100 * me + p + 1;
+    const bool faulted = rt.stats().write_faults >= kPages;
+    rt.barrier();
+    const int peer = 1 - me;
+    bool peer_seen = true;
+    for (int p = 0; p < kPages; ++p)
+      if (data[(peer * kPages + p) * kIntsPerPage] != 100 * peer + p + 1)
+        peer_seen = false;
+    rt.barrier();
+    return (refused ? 1.0 : 0.0) + (faulted ? 2.0 : 0.0) +
+           (peer_seen ? 4.0 : 0.0);
+  });
+  for (const auto& p : r.procs)
+    EXPECT_DOUBLE_EQ(p.checksum, 7.0) << "rank " << p.rank;
+}
+
+// A fault outside the rank's own heap is not the DSM's: the runtime
+// names the rank, the address and its heap range in one `tmk:` line on
+// stderr, and the signal then kills the rank. Pinned to the process
+// backend: on the thread backend the signal would end the test binary.
+TEST(TmkRuntime, FaultOutsideTheHeapIsNamedOnStderr) {
+  runner::SpawnOptions o = fast_options();
+  o.backend = runner::Backend::kProcess;
+  // Mapped before the fork, so the rank inherits it at this address.
+  void* wild = mmap(nullptr, common::kPageSize, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(wild, MAP_FAILED);
+  char line[64];
+  std::snprintf(line, sizeof(line), "tmk: rank 0: fault at %p outside", wild);
+  const runner::ChildFn write_wild = [wild](runner::ChildContext& c) {
+    tmk::Runtime rt(c);
+    const rlimit no_core{0, 0};
+    setrlimit(RLIMIT_CORE, &no_core);
+    *static_cast<volatile std::int32_t*>(wild) = 1;
+    return 0.0;
+  };
+  testing::internal::CaptureStderr();
+  EXPECT_THROW(runner::spawn(1, o, write_wild), common::Error);
+  const std::string err = testing::internal::GetCapturedStderr();
+  munmap(wild, common::kPageSize);
+  EXPECT_NE(err.find(line), std::string::npos) << err;
 }
 
 }  // namespace
