@@ -3,26 +3,30 @@
 // Spawns four processes sharing one DSM heap, has each fill its block of
 // a shared array, synchronizes with a barrier, uses a lock-guarded shared
 // cell for a global reduction, and prints the result with the protocol
-// statistics — the whole public surface in ~60 lines.
+// counters — the whole public surface in ~70 lines. Exits 1 if the sum
+// is wrong.
 //
 //   ./examples/quickstart [nprocs]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "runner/counters.hpp"
 #include "runner/runner.hpp"
 #include "tmk/runtime.hpp"
 
 int main(int argc, char** argv) {
   const int nprocs = (argc > 1) ? std::atoi(argv[1]) : 4;
   constexpr std::size_t kPerProc = 4096;
+  // Every value is a small integer, so the sum is exact in double.
+  const double expected = kPerProc * (nprocs * (nprocs + 1)) / 2.0;
 
   runner::SpawnOptions options;
   options.model = simx::MachineModel::sp2();
   options.shared_heap_bytes = 64ull << 20;
 
   const runner::RunResult result = runner::spawn(
-      nprocs, options, [](runner::ChildContext& ctx) -> double {
+      nprocs, options, [expected](runner::ChildContext& ctx) -> double {
         tmk::Runtime tmk(ctx);
 
         // Every process performs the identical allocation sequence
@@ -54,15 +58,15 @@ int main(int argc, char** argv) {
         tmk.barrier();
 
         if (tmk.rank() == 0) {
-          std::printf("sum = %.0f (expected %.0f)\n", *total,
-                      kPerProc * (tmk.nprocs() * (tmk.nprocs() + 1)) / 2.0);
-          const tmk::TmkStats& s = tmk.stats();
-          std::printf("protocol: %llu write faults, %llu read faults, "
-                      "%llu twins, %llu diffs fetched\n",
-                      static_cast<unsigned long long>(s.write_faults),
-                      static_cast<unsigned long long>(s.read_faults),
-                      static_cast<unsigned long long>(s.twins_created),
-                      static_cast<unsigned long long>(s.diffs_fetched));
+          std::printf("sum = %.0f (expected %.0f)\n", *total, expected);
+          // The same counters the runner sums into RunResult::total_ctrs.
+          using runner::ctr::Id;
+          const runner::ctr::Block c = tmk.counters();
+          std::printf("rank 0 protocol: %llu page faults, %llu twins, "
+                      "%llu diffs fetched\n",
+                      static_cast<unsigned long long>(c[Id::kPageFaults]),
+                      static_cast<unsigned long long>(c[Id::kTwinsCreated]),
+                      static_cast<unsigned long long>(c[Id::kDiffsFetched]));
         }
         return *total;
       });
@@ -73,5 +77,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   result.messages(mpl::Layer::kTmk)),
               result.kbytes(mpl::Layer::kTmk));
-  return 0;
+  return result.checksum == expected ? 0 : 1;
 }

@@ -40,8 +40,6 @@ enum class FrameKind : std::uint16_t {
   // ---- tmk (DSM protocol) ----
   kDiffRequest,
   kDiffReply,
-  kPageRequest,
-  kPageReply,
   kLockRequest,   // acquirer -> manager (service)
   kLockForward,   // manager (service) -> last holder (service)
   kLockGrant,     // holder (service or main) -> acquirer (main)
@@ -49,11 +47,8 @@ enum class FrameKind : std::uint16_t {
   kBarrierDepart, // manager (main) -> member (main)
   kForkWork,      // master (main) -> worker (main): improved interface §2.3
   kJoinDone,      // worker (main) -> master (main)
-  kPushData,      // tmk extension: pushed update (Dwarkadas et al. [7])
+  kPushData,      // tmk extension: push()/bcast() data (Dwarkadas et al. [7])
   kDiffPush,      // hybrid update protocol: barrier-time pushed diffs
-  kBcastData,     // tmk extension: broadcast shared data
-  kGcMark,        // diff garbage collection rounds
-  kGcAck,
   // ---- harness (uncounted) ----
   kShutdownArrive,  // final rendezvous before service threads stop
   kShutdownDepart,

@@ -9,7 +9,9 @@
 // trivially-copyable Block that flows through the report pipe, the
 // run-level aggregation, and the bench rows generically. Adding a
 // counter is one enum entry plus one kRegistry row; everything between
-// the producer and BENCH_results.json is untouched.
+// the producer and BENCH_results.json is untouched. The DSM has no other
+// counters: each tmk::Runtime bumps one Block where the events happen
+// and folds it into its rank's report at shutdown.
 #pragma once
 
 #include <array>
@@ -44,6 +46,10 @@ enum class Id : std::uint8_t {
   kRaceReportsDropped,  // reports past TMK_RACECHECK_MAX_REPORTS
   kIntervalsReclaimed,  // interval records freed by epoch GC
   kProtocolRssBytes,    // peak per-rank protocol-state footprint
+  kTwinsCreated,        // twin copies made by write faults
+  kDiffsCreated,        // diffs encoded (lazy flushes)
+  kDiffBytesCreated,    // encoded bytes of those diffs
+  kDiffsFetched,        // diff records received in fetch replies
   kCount,
 };
 
@@ -70,6 +76,10 @@ inline constexpr std::array<Desc, kCount> kRegistry = {{
     {Id::kRaceReportsDropped, "race_reports_dropped", Layer::kDsm, Agg::kSum},
     {Id::kIntervalsReclaimed, "intervals_reclaimed", Layer::kDsm, Agg::kSum},
     {Id::kProtocolRssBytes, "protocol_rss_bytes", Layer::kDsm, Agg::kMax},
+    {Id::kTwinsCreated, "twins_created", Layer::kDsm, Agg::kSum},
+    {Id::kDiffsCreated, "diffs_created", Layer::kDsm, Agg::kSum},
+    {Id::kDiffBytesCreated, "diff_bytes_created", Layer::kDsm, Agg::kSum},
+    {Id::kDiffsFetched, "diffs_fetched", Layer::kDsm, Agg::kSum},
 }};
 
 consteval bool registry_matches_enum() {

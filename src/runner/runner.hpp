@@ -116,9 +116,10 @@ struct ChildContext {
   // spawn() so every rank sees identical values, consumed by
   // tmk::Runtime in place of scattered getenv reads.
   tmk::Config config{};
-  // DSM protocol counters, accumulated (+=) by tmk::Runtime::shutdown —
-  // a rank may run several Runtimes back to back — and folded into the
-  // rank's ProcReport after `fn` returns. Zero for non-DSM runs.
+  // DSM protocol counters: each tmk::Runtime's shutdown folds its block
+  // in with Block::accumulate — a rank may run several Runtimes back to
+  // back — and the rank's ProcReport takes it after `fn` returns. Zero
+  // for non-DSM runs.
   ctr::Block ctrs{};
 };
 

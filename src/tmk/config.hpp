@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -142,9 +143,8 @@ struct Config {
                                 "expected off|summary|precise");
     }
     c.racecheck_throw = env::flag_knob("TMK_RACECHECK_THROW", false);
-    if (const auto n = env::int_knob("TMK_RACECHECK_MAX_REPORTS");
-        n.has_value())
-      c.racecheck_max_reports = static_cast<int>(*n);
+    int_in_range("TMK_RACECHECK_MAX_REPORTS", 0, c.racecheck_max_reports,
+                 "expected 0..2147483647");
     if (const char* v = env::raw("TMK_EPOCH_GC"); v != nullptr && *v != '\0') {
       const std::string_view s(v);
       if (s == "on" || s == "1" || s == "true")
@@ -154,15 +154,23 @@ struct Config {
       else
         env::detail::warn_value("TMK_EPOCH_GC", v, "expected off|on");
     }
-    if (const auto n = env::int_knob("TMK_EPOCH_GC_INTERVAL"); n.has_value()) {
-      if (*n > 0)
-        c.epoch_gc_interval = static_cast<int>(*n);
-      else
-        env::detail::warn_value("TMK_EPOCH_GC_INTERVAL",
-                                env::raw("TMK_EPOCH_GC_INTERVAL"),
-                                "expected a value > 0");
-    }
+    int_in_range("TMK_EPOCH_GC_INTERVAL", 1, c.epoch_gc_interval,
+                 "expected 1..2147483647");
     return c;
+  }
+
+ private:
+  /// Sets `out` from an integer knob in [lo, INT_MAX]; any other value
+  /// warns once with `expect` and keeps the default (a plain cast would
+  /// wrap 4294967297 to 1).
+  static void int_in_range(const char* name, long long lo, int& out,
+                           const char* expect) {
+    const auto n = common::env::int_knob(name);
+    if (!n.has_value()) return;
+    if (*n >= lo && *n <= std::numeric_limits<int>::max())
+      out = static_cast<int>(*n);
+    else
+      common::env::detail::warn_value(name, common::env::raw(name), expect);
   }
 };
 

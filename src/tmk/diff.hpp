@@ -84,12 +84,6 @@ class DiffMerger {
   /// Re-encodes the union of absorbed runs into `out` (cleared first).
   void encode_into(std::vector<std::byte>& out) const;
 
-  [[nodiscard]] bool empty() const noexcept {
-    for (const std::uint64_t w : present_)
-      if (w != 0) return false;
-    return true;
-  }
-
  private:
   static constexpr std::size_t kBitmapWords = kWordsPerPage / 64;
   alignas(8) std::byte page_[common::kPageSize];

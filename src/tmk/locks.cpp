@@ -22,7 +22,6 @@ namespace tmk {
 void Runtime::lock_acquire(int lock_id) {
   COMMON_CHECK(lock_id >= 0 && lock_id < kNumLocks);
   simx::ProtocolSection protocol(ep_.clock());
-  stats_.lock_acquires.fetch_add(1, std::memory_order_relaxed);
   if (nprocs_ == 1) {
     locks_[static_cast<std::size_t>(lock_id)].held = true;
     return;

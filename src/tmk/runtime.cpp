@@ -44,7 +44,8 @@ Runtime::Runtime(runner::ChildContext& ctx)
       ep_(ctx.endpoint),
       heap_(ctx.heap_base),
       heap_len_(ctx.heap_bytes),
-      cfg_(ctx.config) {
+      cfg_(ctx.config),
+      report_ctx_(ctx) {
   COMMON_CHECK_MSG(t_runtime == nullptr, "one Runtime per rank thread");
   COMMON_CHECK_MSG(heap_ != nullptr && heap_len_ >= common::kPageSize,
                    "no shared heap mapping inherited");
@@ -62,7 +63,7 @@ Runtime::Runtime(runner::ChildContext& ctx)
   // Zero-page invariant: every process starts with identical all-zero
   // pages; reads are free until the first write notice arrives.
   COMMON_SYSCALL(mprotect(heap_, heap_len_, PROT_READ));
-  ++mprotect_calls_;
+  ++ctrs_[Ctr::kHostMprotectCalls];
 
   locks_.resize(kNumLocks);
   lock_last_requester_.resize(kNumLocks);
@@ -84,7 +85,6 @@ Runtime::Runtime(runner::ChildContext& ctx)
   gc_interval_ = cfg_.epoch_gc_interval > 0
                      ? static_cast<std::uint32_t>(cfg_.epoch_gc_interval)
                      : 64;
-  report_ctx_ = &ctx;
   if (rank_ == 0) {
     // The barrier manager's per-worker state, indexed by rank - 1.
     const auto workers = static_cast<std::size_t>(nprocs_ - 1);
@@ -153,43 +153,30 @@ void Runtime::shutdown() {
     stop_.store(true, std::memory_order_release);
     ep_.wake_service();
     if (service_.joinable()) service_.join();
-    flush_stats_to_ctx();
+    fold_counters();
     throw;
   }
   stop_.store(true, std::memory_order_release);
   ep_.wake_service();
   if (service_.joinable()) service_.join();
-  flush_stats_to_ctx();
+  fold_counters();
 }
 
-void Runtime::flush_stats_to_ctx() noexcept {
-  // Called once per Runtime, after the service thread has joined, so
-  // every counter is final; += lets a rank that constructs several
-  // Runtimes back to back report their sum.
-  if (report_ctx_ == nullptr) return;
-  // Final footprint sample (the run may never have hit a GC round); the
-  // service thread is joined, so try_lock only fails under a concurrent
-  // crash path — where losing one gauge sample is fine.
+void Runtime::fold_counters() noexcept {
+  // Runs once per Runtime, after the service thread has joined, so the
+  // block is final. Stashed pushes the run never consumed were sent for
+  // nothing. The final footprint sample covers a run that never reached
+  // a GC round; try_lock only fails under a concurrent crash path, where
+  // losing one gauge sample is fine.
+  ctrs_[Ctr::kPushWaste] += push_stash_.size();
   if (std::unique_lock<std::mutex> g(mu_, std::try_to_lock); g.owns_lock())
-    protocol_rss_peak_ =
-        std::max(protocol_rss_peak_, protocol_rss_bytes_locked());
-  using runner::ctr::Id;
-  auto& c = report_ctx_->ctrs;
-  c[Id::kDiffRequests] += stats_.diff_requests;
-  c[Id::kDiffReplies] += stats_.diff_replies;
-  c[Id::kDiffPush] += stats_.diff_push;
-  c[Id::kPushHits] += stats_.push_hits;
-  // Stashed pushes the run never consumed were sent for nothing.
-  c[Id::kPushWaste] += stats_.push_waste + push_stash_.size();
-  c[Id::kPageFaults] += stats_.read_faults + stats_.write_faults;
-  c[Id::kHostMprotectCalls] += mprotect_calls_;
-  // Every emitted report counts, stored or dropped past the cap.
-  c[Id::kRaceReports] += race_emitted_;
-  c[Id::kRaceReportsDropped] += race_reports_dropped_;
-  c[Id::kIntervalsReclaimed] += records_reclaimed_;
-  const std::uint64_t peak = protocol_rss_peak_;
-  if (c[Id::kProtocolRssBytes] < peak) c[Id::kProtocolRssBytes] = peak;
-  report_ctx_ = nullptr;
+    sample_protocol_rss_locked();
+  report_ctx_.ctrs.accumulate(ctrs_);
+}
+
+runner::ctr::Block Runtime::counters() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return ctrs_;
 }
 
 void Runtime::write_forensics(void* ctx, std::ostream& os) {
@@ -242,7 +229,7 @@ void* Runtime::alloc_bytes(std::size_t bytes, bool page_align) {
 
 void Runtime::mprotect_range(PageIndex first, std::size_t npages, int prot) {
   COMMON_SYSCALL(mprotect(page_ptr(first), npages * common::kPageSize, prot));
-  ++mprotect_calls_;
+  ++ctrs_[Ctr::kHostMprotectCalls];
 }
 
 void Runtime::mprotect_runs(std::span<const PageIndex> ascending_pages,
@@ -391,9 +378,8 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
   make_diff_into(px.twin.get(), image, diff_scratch_);
   auto diff = std::make_shared<std::vector<std::byte>>(diff_scratch_.begin(),
                                                        diff_scratch_.end());
-  stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
-  stats_.diff_bytes_created.fetch_add(diff->size(),
-                                      std::memory_order_relaxed);
+  ++ctrs_[Ctr::kDiffsCreated];
+  ctrs_[Ctr::kDiffBytesCreated] += diff->size();
   {
     std::lock_guard<std::mutex> dg(diff_mu_);
     const Seq covered = px.unflushed.back();
@@ -735,12 +721,12 @@ void Runtime::race_emit(RaceReport r) {
   if (cfg_.racecheck_throw) race_throw_pending_ = true;
   // Storage is capped (each report carries two full vector clocks —
   // unbounded retention would OOM a racy long-running workload); the
-  // line above and the race_reports counter keep firing regardless.
-  ++race_emitted_;
+  // line above and the race_reports cell keep counting regardless.
+  ++ctrs_[Ctr::kRaceReports];
   if (std::cmp_less(race_reports_.size(), cfg_.racecheck_max_reports))
     race_reports_.push_back(std::move(r));
   else
-    ++race_reports_dropped_;
+    ++ctrs_[Ctr::kRaceReportsDropped];
 }
 
 void Runtime::race_maybe_throw() {
@@ -822,7 +808,7 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
                  w.bytes());
     fetch_outstanding_.push_back(
         FetchOutstanding{static_cast<ProcId>(p), req_id});
-    stats_.diff_requests.fetch_add(1, std::memory_order_relaxed);
+    ++ctrs_[Ctr::kDiffRequests];
   }
   ep_.flush_burst();
 
@@ -878,7 +864,7 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       COMMON_CHECK(seq > known.base && seq <= known.hi());
       fetch_staged_.push_back(
           FetchedDiff{page, known.at(seq), bytes, shared_blob});
-      stats_.diffs_fetched.fetch_add(1, std::memory_order_relaxed);
+      ++ctrs_[Ctr::kDiffsFetched];
       if (page != cur_page) {
         finish_page();
         cur_page = page;
@@ -966,8 +952,7 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
   // Consumed stash entries are retired as hits (erase() de-dups the
   // per-entry count when several seqs drew on one blob).
   for (const StashHit& sh : stash_hits)
-    if (push_stash_.erase(sh.key) != 0)
-      stats_.push_hits.fetch_add(1, std::memory_order_relaxed);
+    if (push_stash_.erase(sh.key) != 0) ++ctrs_[Ctr::kPushHits];
   // Return the reply payload buffers to the receive pool.
   for (mpl::Frame& f : fetch_replies_) ep_.recycle_buffer(std::move(f.payload));
   fetch_replies_.clear();
@@ -1000,13 +985,10 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
   // (x86-64), else is treated as a read — the retried store then faults
   // again on the read-only page and takes the write path.
   const bool is_write = is_write_hint || state == PageState::kReadOnly;
+  ++ctrs_[Ctr::kPageFaults];
 
   switch (state) {
     case PageState::kInvalid: {
-      if (is_write)
-        stats_.write_faults.fetch_add(1, std::memory_order_relaxed);
-      else
-        stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
       const PageIndex pages[1] = {page};
       fetch_and_apply(pages);
       if (!is_write && cfg_.racecheck != RaceCheckMode::kOff) {
@@ -1023,7 +1005,7 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
             px.twin = take_twin_buffer();
             std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
             ep_.clock().add_model(ep_.clock().model().twin_ns);
-            stats_.twins_created.fetch_add(1, std::memory_order_relaxed);
+            ++ctrs_[Ctr::kTwinsCreated];
           }
           pm.dirty = true;
           dirty_pages_.push_back(page);
@@ -1034,7 +1016,6 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
       return true;
     }
     case PageState::kReadOnly: {
-      stats_.write_faults.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> g(mu_);
       PageMeta& pm = pages_[page];
       PageExt& px = ext(page);
@@ -1046,7 +1027,7 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
         px.twin = take_twin_buffer();
         std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
         ep_.clock().add_model(ep_.clock().model().twin_ns);
-        stats_.twins_created.fetch_add(1, std::memory_order_relaxed);
+        ++ctrs_[Ctr::kTwinsCreated];
       }
       pm.dirty = true;
       dirty_pages_.push_back(page);
@@ -1077,7 +1058,6 @@ void Runtime::barrier() {
   // barrier and dies there, before any arrive leaves this rank.
   ep_.fault_barrier_entered();
   close_interval();
-  stats_.barriers.fetch_add(1, std::memory_order_relaxed);
   if (nprocs_ == 1) {
     if (cfg_.epoch_gc) {
       // Single rank: everything is integrated by construction (no
@@ -1085,8 +1065,7 @@ void Runtime::barrier() {
       // up to the current clock.
       std::lock_guard<std::mutex> g(mu_);
       if (gc_round_now()) {
-        protocol_rss_peak_ =
-            std::max(protocol_rss_peak_, protocol_rss_bytes_locked());
+        sample_protocol_rss_locked();
         epoch_gc_reclaim(vc_);
       }
       trim_pools_locked();
@@ -1237,8 +1216,7 @@ void Runtime::barrier() {
     std::vector<PageIndex> stale;
     {
       std::lock_guard<std::mutex> g(mu_);
-      protocol_rss_peak_ =
-          std::max(protocol_rss_peak_, protocol_rss_bytes_locked());
+      sample_protocol_rss_locked();
       if (gc_have_snapshot_) {
         // Reclaim up to the PREVIOUS round's validated snapshot, capped
         // by this round's global horizon (the cap is provably a no-op —
@@ -1327,7 +1305,7 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
           }
           touched.push_back(page);
         }
-        ++records_reclaimed_;
+        ++ctrs_[Ctr::kIntervalsReclaimed];
       }
     }
   }
@@ -1339,7 +1317,7 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
     const auto creator = static_cast<ProcId>(
         it->first & ((std::uint64_t{1} << kPackCreatorBits) - 1));
     if (it->second.hi <= horizon.get(creator)) {
-      stats_.push_waste.fetch_add(1, std::memory_order_relaxed);
+      ++ctrs_[Ctr::kPushWaste];
       it = push_stash_.erase(it);
     } else {
       ++it;
@@ -1420,6 +1398,11 @@ std::uint64_t Runtime::protocol_rss_bytes_locked() const {
   return total;
 }
 
+void Runtime::sample_protocol_rss_locked() {
+  std::uint64_t& peak = ctrs_[Ctr::kProtocolRssBytes];
+  peak = std::max(peak, protocol_rss_bytes_locked());
+}
+
 void Runtime::trim_pools_locked() {
   // High-water-mark trim: keep only as many pooled twins as this epoch
   // actually consumed, so a one-off spike (an init phase touching every
@@ -1436,7 +1419,7 @@ Runtime::MemStats Runtime::mem_stats() const {
   MemStats s;
   s.protocol_rss_bytes = protocol_rss_bytes_locked();
   s.records_created = records_created_;
-  s.records_reclaimed = records_reclaimed_;
+  s.records_reclaimed = ctrs_[Ctr::kIntervalsReclaimed];
   for (int p = 0; p < nprocs_; ++p)
     s.records_live += intervals_[static_cast<std::size_t>(p)].live.size();
   s.twin_pool_pages = twin_pool_.size();
@@ -1445,7 +1428,6 @@ Runtime::MemStats Runtime::mem_stats() const {
     ++s.page_ext_live;
     if (e->twin != nullptr) ++s.twins_live;
   }
-  s.race_reports_dropped = race_reports_dropped_;
   return s;
 }
 
@@ -1649,7 +1631,7 @@ void Runtime::prepare_push_frames() {
       COMMON_CHECK(e.blob->size() <= 0xffff);
       w.put<std::uint16_t>(static_cast<std::uint16_t>(e.blob->size()));
       w.put_bytes(*e.blob);
-      stats_.diff_push.fetch_add(1, std::memory_order_relaxed);
+      ++ctrs_[Ctr::kDiffPush];
     }
     push_frames_.emplace_back(d, w.take());
   }
@@ -1746,8 +1728,7 @@ void Runtime::collect_pushes(std::uint32_t expected) {
       // retires an unconsumed older one as waste.
       for (std::size_t k = i; k < j; ++k) {
         PushStash& slot = push_stash_[stash_key(page, recs[k].creator)];
-        if (slot.blob != nullptr)
-          stats_.push_waste.fetch_add(1, std::memory_order_relaxed);
+        if (slot.blob != nullptr) ++ctrs_[Ctr::kPushWaste];
         slot.lo = recs[k].lo;
         slot.hi = recs[k].hi;
         slot.blob = std::make_shared<std::vector<std::byte>>(
@@ -1768,7 +1749,7 @@ void Runtime::collect_pushes(std::uint32_t expected) {
       // must not re-export other writers' words at stale values.
       if (px.twin != nullptr) apply_diff(recs[k].blob, px.twin.get());
     }
-    stats_.push_hits.fetch_add(j - i, std::memory_order_relaxed);
+    ctrs_[Ctr::kPushHits] += j - i;
     px.pending.clear();
     if (dirty) {
       pm.state = PageState::kReadWrite;

@@ -58,32 +58,6 @@ enum class PageState : std::uint8_t {
   kInvalid,    // mapped PROT_NONE; write notices pending
 };
 
-/// Protocol statistics. `diffs_created` / `diff_bytes_created` are
-/// written by the *service* thread (lazy flush in serve_diff_request)
-/// while the main thread may concurrently read the struct (tests and
-/// apps sample stats mid-run) or bump its own fields — so every counter
-/// is a relaxed atomic. Plain reads via the implicit conversion are
-/// fine; there is no cross-field consistency guarantee.
-struct TmkStats {
-  std::atomic<std::uint64_t> read_faults{0};
-  std::atomic<std::uint64_t> write_faults{0};
-  std::atomic<std::uint64_t> twins_created{0};
-  std::atomic<std::uint64_t> diffs_created{0};
-  std::atomic<std::uint64_t> diff_bytes_created{0};
-  std::atomic<std::uint64_t> diffs_fetched{0};
-  std::atomic<std::uint64_t> diff_requests{0};
-  std::atomic<std::uint64_t> diff_replies{0};
-  // Hybrid update protocol: page-diffs pushed at barriers, pushed
-  // page-diffs the receiver applied (each one is a kDiffRequest/
-  // kDiffReply round trip that never happened), and pushed page-diffs
-  // the receiver discarded (mispredicted or insufficient coverage).
-  std::atomic<std::uint64_t> diff_push{0};
-  std::atomic<std::uint64_t> push_hits{0};
-  std::atomic<std::uint64_t> push_waste{0};
-  std::atomic<std::uint64_t> barriers{0};
-  std::atomic<std::uint64_t> lock_acquires{0};
-};
-
 class Runtime {
  public:
   /// Number of lock identifiers available to the application.
@@ -122,7 +96,6 @@ class Runtime {
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
   [[nodiscard]] mpl::Endpoint& endpoint() noexcept { return ep_; }
-  [[nodiscard]] const TmkStats& stats() const noexcept { return stats_; }
   [[nodiscard]] RaceCheckMode racecheck() const noexcept {
     return cfg_.racecheck;
   }
@@ -136,6 +109,13 @@ class Runtime {
     return race_reports_;
   }
 
+  /// This Runtime's protocol counters since construction, one cell per
+  /// runner/counters.hpp row. Call it on the application thread: the
+  /// service thread bumps its cells under mu_, and the copy is taken
+  /// under mu_. After shutdown() the block is final and holds the
+  /// end-of-run terms; shutdown() folds it into ChildContext::ctrs.
+  [[nodiscard]] runner::ctr::Block counters() const;
+
   /// Point-in-time protocol memory accounting (tests and the soak
   /// assertion; protocol_rss_bytes also feeds the run counter of the
   /// same name through shutdown). Computed under mu_/diff_mu_, so it is
@@ -143,12 +123,11 @@ class Runtime {
   struct MemStats {
     std::uint64_t protocol_rss_bytes = 0;  // bytes held by protocol state
     std::uint64_t records_created = 0;     // interval records ever logged
-    std::uint64_t records_reclaimed = 0;   // records freed by epoch GC
+    std::uint64_t records_reclaimed = 0;   // the intervals_reclaimed cell
     std::uint64_t records_live = 0;        // records currently held
     std::uint64_t twin_pool_pages = 0;     // pooled (idle) twin buffers
     std::uint64_t twins_live = 0;          // twins attached to pages
     std::uint64_t page_ext_live = 0;       // non-null PageExt slots
-    std::uint64_t race_reports_dropped = 0;
   };
   [[nodiscard]] MemStats mem_stats() const;
 
@@ -384,7 +363,7 @@ class Runtime {
   // mprotect_runs before they release mu_. The fault path, the
   // race-check scan and the push paths (collect_pushes, accept_push)
   // change one page at a time. Every mprotect on the heap counts in
-  // mprotect_calls_ (the host_mprotect_calls column).
+  // the host_mprotect_calls cell.
   void mprotect_range(PageIndex first, std::size_t npages, int prot);
   void mprotect_page(PageIndex page, int prot) {
     mprotect_range(page, 1, prot);
@@ -392,7 +371,6 @@ class Runtime {
   // One mprotect per maximal run of consecutive page indices.
   void mprotect_runs(std::span<const PageIndex> ascending_pages, int prot);
   std::vector<PageIndex> prot_pages_;
-  std::uint64_t mprotect_calls_ = 0;
 
   [[nodiscard]] std::byte* page_ptr(PageIndex page) const noexcept {
     return static_cast<std::byte*>(heap_) + page * common::kPageSize;
@@ -578,13 +556,9 @@ class Runtime {
   // the runner's peer-death propagation unwinds the survivors with
   // blame, exactly like an injected soft fault.
   bool race_unwinding_ = false;
+  // Capped at Config::racecheck_max_reports; the race_reports and
+  // race_reports_dropped cells keep counting past the cap.
   std::vector<RaceReport> race_reports_;
-  // The totals that keep counting past the storage cap
-  // (Config::racecheck_max_reports): every report emitted, and every
-  // report dropped from storage. kRaceReports flushes race_emitted_, not
-  // race_reports_.size(), so the counter stays exact under the cap.
-  std::uint64_t race_emitted_ = 0;
-  std::uint64_t race_reports_dropped_ = 0;
 
   // -- epoch GC (TMK_EPOCH_GC; default on) --
   // Every `gc_interval_`-th barrier is a GC round: the manager folds
@@ -603,13 +577,10 @@ class Runtime {
   // that round's end, identical on every rank).
   VectorClock gc_ready_horizon_;
   bool gc_have_snapshot_ = false;
-  // Accounting for the invariant records_created == records_reclaimed +
-  // live records (own closes and integrated remotes alike).
+  // Accounting for the invariant records_created == records_reclaimed
+  // (the intervals_reclaimed cell) + live records (own closes and
+  // integrated remotes alike).
   std::uint64_t records_created_ = 0;
-  std::uint64_t records_reclaimed_ = 0;
-  // Peak protocol footprint observed at GC rounds (flushed as the
-  // protocol_rss_bytes run counter).
-  std::uint64_t protocol_rss_peak_ = 0;
   // Twin-pool high-water-mark trim: buffers taken from the pool since
   // the last barrier; any pool surplus beyond it is released there.
   std::size_t twin_takes_epoch_ = 0;
@@ -625,6 +596,8 @@ class Runtime {
   // nullptr. Caller holds mu_; takes diff_mu_ internally.
   void epoch_gc_reclaim(const VectorClock& horizon);
   [[nodiscard]] std::uint64_t protocol_rss_bytes_locked() const;
+  // Raises the protocol_rss_bytes cell (a peak) to the current footprint.
+  void sample_protocol_rss_locked();
   void trim_pools_locked();
 
   // -- hybrid update protocol state (mode != off only) --
@@ -690,12 +663,17 @@ class Runtime {
   std::atomic<bool> stop_{false};
   bool shutdown_done_ = false;
 
-  TmkStats stats_;
-  // Where shutdown() accumulates the final DSM counters so the harness
-  // can report them per rank (+=: several sequential Runtimes in one
-  // rank add up). Written only after the service thread has joined.
-  runner::ChildContext* report_ctx_ = nullptr;
-  void flush_stats_to_ctx() noexcept;
+  // Protocol counters, bumped where each event happens. The cells the
+  // service thread bumps (diff_replies, diffs_created, diff_bytes_created)
+  // are only ever bumped under mu_; the application thread owns the rest.
+  using Ctr = runner::ctr::Id;
+  runner::ctr::Block ctrs_;
+  // The rank's report block, which shutdown() folds ctrs_ into (several
+  // Runtimes in turn on one rank add up).
+  runner::ChildContext& report_ctx_;
+  // shutdown()'s last step, on every path: adds the end-of-run terms to
+  // ctrs_ and folds it into report_ctx_.ctrs.
+  void fold_counters() noexcept;
 };
 
 }  // namespace tmk

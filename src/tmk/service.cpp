@@ -103,8 +103,8 @@ void Runtime::serve_diff_request(const mpl::Frame& f) {
       }
       prev = rec;
     }
+    ++ctrs_[Ctr::kDiffReplies];
   }
-  stats_.diff_replies.fetch_add(1, std::memory_order_relaxed);
   ep_.clock().charge_interrupt(m.recv_overhead_ns + handler +
                                m.send_overhead_ns);
   const std::uint64_t base = f.vt_arrival + m.recv_overhead_ns + handler;

@@ -120,23 +120,6 @@ struct RaceMask {
     m.v[word / 64] = std::uint64_t{1} << (word % 64);
     return m;
   }
-  /// Mask of every word overlapping [offset, offset + len) — an
-  /// element-sized access footprint (e.g. one u64 store = two words).
-  [[nodiscard]] static RaceMask range(std::size_t offset,
-                                      std::size_t len) noexcept {
-    RaceMask m;
-    const std::size_t first = offset / kWordBytes;
-    const std::size_t last = (offset + len - 1) / kWordBytes;
-    for (std::size_t word = first; word <= last && word < kWords; ++word)
-      m.v[word / 64] |= std::uint64_t{1} << (word % 64);
-    return m;
-  }
-  /// Full-page mask (summary-mode read witness).
-  [[nodiscard]] static RaceMask all() noexcept {
-    RaceMask m;
-    m.v.fill(~std::uint64_t{0});
-    return m;
-  }
   [[nodiscard]] bool any() const noexcept {
     for (const std::uint64_t w : v)
       if (w != 0) return true;

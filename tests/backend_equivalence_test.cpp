@@ -232,7 +232,10 @@ INSTANTIATE_TEST_SUITE_P(OnOff, EpochGcActiveBackendInvariance,
 
 // Fixed barrier/lock/shared-write schedule with deterministic protocol
 // event counts: the per-rank digest of barriers, lock acquires, and
-// write faults must match across backends. (Message totals are not
+// write faults must match across backends. Barriers and acquires are the
+// schedule's own loop counts; write faults are page-fault deltas over
+// windows that only store (the cell's load, whose fault count follows
+// the lock order, stays outside them). (Message totals are not
 // compared: the manager-side lock chaining makes self-forwards, which
 // are uncounted, contention-order-dependent on either backend.)
 constexpr int kProcs = 4;
@@ -245,22 +248,36 @@ TEST(CrossBackendTmk, BarrierLockFaultDigestIdentical) {
           tmk::Runtime rt(c);
           auto* data = rt.alloc<std::int64_t>(1024 * rt.nprocs());
           auto* cell = rt.alloc<std::int64_t>(1);
+          int barriers = 0;
+          int acquires = 0;
+          std::uint64_t write_faults = 0;
+          const auto faults = [&rt] {
+            return rt.counters()[runner::ctr::Id::kPageFaults];
+          };
           for (int iter = 0; iter < kRounds; ++iter) {
             rt.barrier();
+            ++barriers;
             const int me = rt.rank();
+            std::uint64_t before = faults();
             data[1024 * me + iter] = 100 * me + iter;
+            write_faults += faults() - before;
             rt.lock_acquire(3);
-            *cell += 1;
+            ++acquires;
+            const std::int64_t v = *cell;
+            before = faults();
+            *cell = v + 1;
+            write_faults += faults() - before;
             rt.lock_release(3);
             rt.barrier();
+            ++barriers;
             const int peer = (me + 1) % rt.nprocs();
             if (data[1024 * peer + iter] != 100 * peer + iter) return -1.0;
           }
           rt.barrier();
+          ++barriers;
           if (*cell != kProcs * kRounds) return -2.0;
-          return static_cast<double>(rt.stats().barriers) * 1e6 +
-                 static_cast<double>(rt.stats().lock_acquires) * 1e3 +
-                 static_cast<double>(rt.stats().write_faults);
+          return barriers * 1e6 + acquires * 1e3 +
+                 static_cast<double>(write_faults);
         });
   };
   const auto process = run(runner::Backend::kProcess);
@@ -309,8 +326,9 @@ TEST(FaultDispatch, ConcurrentFaultsRouteToOwningRuntime) {
           for (int i = 0; i < kIntsPerPage; ++i)
             mine[(me * kPages + pg) * kIntsPerPage + i] =
                 me * 1'000'000 + pg * 1000 + (i % 97);
+        // Only stores so far: every fault is a write fault.
         write_faults[static_cast<std::size_t>(me)] =
-            rt.stats().write_faults;
+            rt.counters()[runner::ctr::Id::kPageFaults];
         rt.barrier();
         // Cross-check a peer's block through the DSM (read faults, on
         // the same route).

@@ -128,7 +128,9 @@ TEST(BenchSmoke, JsonRowColumnOrderIsPinned) {
       "push_hits",     "push_waste",
       "page_faults",   "race_reports",
       "race_reports_dropped", "intervals_reclaimed",
-      "protocol_rss_bytes", "checksum"};
+      "protocol_rss_bytes", "twins_created",
+      "diffs_created", "diff_bytes_created",
+      "diffs_fetched", "checksum"};
   EXPECT_EQ(row_keys(json.substr(open, close - open + 1)), golden);
   fs::remove_all(dir);
 }

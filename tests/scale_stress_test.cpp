@@ -109,7 +109,8 @@ TEST(ScaleStress, ConcurrentFaultStormAt64Ranks) {
         // and after peer Runtime construction.
         for (int pg = 0; pg < kPages; ++pg)
           mine[(me * kPages + pg) * 1024] = me * 1000 + pg;
-        const std::uint64_t faults = rt.stats().write_faults;
+        const std::uint64_t faults =
+            rt.counters()[runner::ctr::Id::kPageFaults];
         rt.barrier();
         const int peer = (me + 1) % np;
         double ok = faults >= kPages ? 1.0 : -2.0;

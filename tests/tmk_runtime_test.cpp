@@ -4,15 +4,22 @@
 #include <sys/mman.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "env_guard.hpp"
+#include "runner/counters.hpp"
 #include "runner/runner.hpp"
 #include "tmk/runtime.hpp"
 
 namespace {
+
+using runner::ctr::Id;
 
 runner::SpawnOptions fast_options() {
   runner::SpawnOptions o;
@@ -20,6 +27,11 @@ runner::SpawnOptions fast_options() {
   o.shared_heap_bytes = 64ull << 20;
   o.timeout_sec = 120;
   return o;
+}
+
+// One of the rank's protocol counters so far.
+std::uint64_t count(const tmk::Runtime& rt, Id id) {
+  return rt.counters()[id];
 }
 
 // Master writes before the barrier; everyone reads after it.
@@ -233,10 +245,10 @@ TEST(TmkRuntime, ValidatePrefetchesRange) {
     if (rt.rank() == 1) {
       rt.validate(data, kInts * sizeof(std::int32_t));
       // All pages fetched with one request: afterwards reads are local.
-      const std::uint64_t before = rt.stats().diff_requests;
+      const std::uint64_t before = count(rt, Id::kDiffRequests);
       double sum = 0;
       for (int i = 0; i < kInts; ++i) sum += data[i];
-      const std::uint64_t after = rt.stats().diff_requests;
+      const std::uint64_t after = count(rt, Id::kDiffRequests);
       rt.barrier();
       return (after == before) ? sum : -1.0;
     }
@@ -261,10 +273,10 @@ TEST(TmkRuntime, PushSatisfiesFutureWriteNotices) {
     }
     rt.barrier();
     if (rt.rank() == 1) {
-      const std::uint64_t faults_before = rt.stats().read_faults;
+      const std::uint64_t faults_before = count(rt, Id::kPageFaults);
       double sum = 0;
       for (int i = 0; i < 1024; ++i) sum += data[i];
-      const std::uint64_t faults_after = rt.stats().read_faults;
+      const std::uint64_t faults_after = count(rt, Id::kPageFaults);
       rt.barrier();
       // The barrier's write notice was pre-applied: no fault, no fetch.
       return (faults_after == faults_before) ? sum : -sum;
@@ -349,19 +361,19 @@ TEST(TmkRuntime, StatsCountFaultsAndDiffs) {
       data[0] = 1;  // write fault -> twin
       rt.barrier();
       // Lazy diffing: the diff is created when rank 1 requests it; wait
-      // for rank 1's read before sampling the stats.
+      // for rank 1's read before sampling the counters.
       rt.barrier();
-      return static_cast<double>(rt.stats().twins_created +
-                                 rt.stats().diffs_created * 100);
+      return static_cast<double>(count(rt, Id::kTwinsCreated) +
+                                 count(rt, Id::kDiffsCreated) * 100);
     }
     rt.barrier();
     // Volatile read so the fault is not optimized away; compiler fence so
-    // the stats loads below are not hoisted above the faulting read.
+    // the counter reads below are not hoisted above the faulting read.
     const double x = *static_cast<volatile std::int32_t*>(data);
     asm volatile("" ::: "memory");
     const double result =
-        static_cast<double>(rt.stats().read_faults +
-                            rt.stats().diffs_fetched * 100) *
+        static_cast<double>(count(rt, Id::kPageFaults) +
+                            count(rt, Id::kDiffsFetched) * 100) *
         (x == 1.0 ? 1.0 : -1.0);
     rt.barrier();
     return result;
@@ -373,7 +385,7 @@ TEST(TmkRuntime, StatsCountFaultsAndDiffs) {
 // Worst-case diffs end to end: one page with every second word written
 // (512 runs, encodes to exactly one page) and one fully-rewritten page
 // (one run, kPageSize + 4 bytes — larger than the page itself). Both
-// must flush, ship, and apply correctly, and the creator's stats must
+// must flush, ship, and apply correctly, and the creator's counters must
 // report the exact encoded sizes.
 TEST(TmkRuntime, WorstCaseDiffPatternsFlushAndApply) {
   auto r = runner::spawn(2, fast_options(), [](runner::ChildContext& c) {
@@ -386,8 +398,8 @@ TEST(TmkRuntime, WorstCaseDiffPatternsFlushAndApply) {
       for (int i = 0; i < 1024; ++i) full[i] = 3u + static_cast<unsigned>(i);
       rt.barrier();
       rt.barrier();  // rank 1 fetched by now (lazy flush done)
-      const std::uint64_t bytes = rt.stats().diff_bytes_created;
-      const std::uint64_t diffs = rt.stats().diffs_created;
+      const std::uint64_t bytes = count(rt, Id::kDiffBytesCreated);
+      const std::uint64_t diffs = count(rt, Id::kDiffsCreated);
       // alternating: 512 * (4 + 4) = 4096; full: 4 + 4096 = 4100.
       return (diffs == 2 && bytes == 4096 + 4100) ? 1.0 : -1.0;
     }
@@ -574,11 +586,11 @@ TEST(TmkRuntime, CoveredSeqGapDoesNotRefetchOrClobberLocalWrites) {
     // recorded as pre-applied. Our own words must survive the apply.
     for (int i = 768; i < 1024; ++i) a[i] = 9;
     if (a[0] != 1 || a[256] != 2) return -2.0;  // baked-in writes visible
-    const std::uint64_t before = rt.stats().diff_requests;
+    const std::uint64_t before = count(rt, Id::kDiffRequests);
     rt.barrier();  // s2's write notice arrives; pre-applied, no refetch
     double sum = 0;
     for (int i = 0; i < 1024; ++i) sum += a[i];
-    if (rt.stats().diff_requests != before) return -3.0;  // refetched!
+    if (count(rt, Id::kDiffRequests) != before) return -3.0;  // refetched!
     if (a[900] != 9) return -4.0;  // stale blob clobbered local writes
     rt.barrier();
     return sum;
@@ -610,7 +622,6 @@ TEST(TmkRuntime, ProtectionChangesCostOneCallPerRun) {
     rt.barrier();
     return sum;
   });
-  using runner::ctr::Id;
   ASSERT_EQ(r.procs.size(), 2u);
   EXPECT_DOUBLE_EQ(r.procs[1].checksum, kPages * (kPages + 1) / 2.0);
   const runner::ctr::Block& writer = r.procs[0].ctrs;
@@ -646,13 +657,13 @@ TEST(TmkRuntime, LockInvalidatedDirtyPageStaysProtectedAcrossClose) {
       for (int i = 0; i < kHalf; ++i) data[p * kIntsPerPage + i] = 1;
     rt.lock_acquire(0);  // the grant invalidates dirty page kShared
     rt.lock_release(0);  // closes the run of dirty pages 0..7
-    const std::uint64_t before = rt.stats().read_faults;
+    const std::uint64_t before = count(rt, Id::kPageFaults);
     asm volatile("" ::: "memory");
     const auto* v = static_cast<volatile const std::int32_t*>(data);
     std::int64_t sum = 0;
     for (int k = 0; k < kPages * kIntsPerPage; ++k) sum += v[k];
     asm volatile("" ::: "memory");
-    const std::uint64_t faults = rt.stats().read_faults - before;
+    const std::uint64_t faults = count(rt, Id::kPageFaults) - before;
     bool merged = sum == kPages * kHalf + 2 * kHalf;
     for (int i = 0; i < kIntsPerPage; ++i)
       merged = merged && shared[i] == (i < kHalf ? 1 : 2);
@@ -707,7 +718,7 @@ TEST(TmkRuntime, SecondRuntimeOnARankTakesItsOwnFaults) {
     const int me = rt.rank();
     for (int p = 0; p < kPages; ++p)
       data[(me * kPages + p) * kIntsPerPage] = 100 * me + p + 1;
-    const bool faulted = rt.stats().write_faults >= kPages;
+    const bool faulted = count(rt, Id::kPageFaults) >= kPages;
     rt.barrier();
     const int peer = 1 - me;
     bool peer_seen = true;
@@ -720,6 +731,110 @@ TEST(TmkRuntime, SecondRuntimeOnARankTakesItsOwnFaults) {
   });
   for (const auto& p : r.procs)
     EXPECT_DOUBLE_EQ(p.checksum, 7.0) << "rank " << p.rank;
+}
+
+// The counter fold at shutdown. Each rank runs `runtimes` Runtimes in
+// turn; each writes its own page, and reads the peer's after a barrier,
+// so every rank takes faults, twins, makes and fetches diffs and holds
+// protocol state. The counters() snapshot each Runtime shows after
+// shutdown() reaches the test through a MAP_SHARED mapping made before
+// the spawn, which forked ranks share too. Returns the run and the
+// snapshots, rank-major.
+std::pair<runner::RunResult, std::vector<runner::ctr::Block>>
+run_and_snapshot(int runtimes) {
+  constexpr int kRanks = 2;
+  const std::size_t bytes = sizeof(runner::ctr::Block) * kRanks * runtimes;
+  void* shared = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  COMMON_CHECK(shared != MAP_FAILED);
+  auto* snaps = static_cast<runner::ctr::Block*>(shared);
+  auto r = runner::spawn(
+      kRanks, fast_options(), [snaps, runtimes](runner::ChildContext& c) {
+        const int me = c.endpoint.rank();
+        bool seen = true;
+        for (int k = 0; k < runtimes; ++k) {
+          tmk::Runtime rt(c);
+          auto* data = rt.alloc<std::int32_t>(kRanks * kIntsPerPage);
+          data[me * kIntsPerPage] = 100 * k + me + 1;
+          rt.barrier();
+          const int peer = 1 - me;
+          seen = seen && data[peer * kIntsPerPage] == 100 * k + peer + 1;
+          rt.barrier();
+          rt.shutdown();
+          snaps[me * runtimes + k] = rt.counters();
+        }
+        return seen ? 1.0 : -1.0;
+      });
+  std::vector<runner::ctr::Block> out(snaps, snaps + kRanks * runtimes);
+  munmap(shared, bytes);
+  for (const auto& p : r.procs)
+    EXPECT_DOUBLE_EQ(p.checksum, 1.0) << "rank " << p.rank;
+  return {std::move(r), std::move(out)};
+}
+
+// run_rank sets these two cells from the rank's Endpoint; every other
+// cell of a DSM rank's report is its Runtimes' fold.
+bool endpoint_cell(Id id) {
+  return id == Id::kHostSendCalls || id == Id::kHostFutexWakes;
+}
+
+TEST(TmkRuntime, TwoRuntimesInTurnReportTheFoldOfTheirCounters) {
+  const auto [r, snaps] = run_and_snapshot(2);
+  for (std::size_t p = 0; p < r.procs.size(); ++p) {
+    const runner::ctr::Block& a = snaps[2 * p];
+    const runner::ctr::Block& b = snaps[2 * p + 1];
+    // Nonzero in both, so a sum could not pass for the fold's max.
+    EXPECT_GT(a[Id::kProtocolRssBytes], 0u);
+    EXPECT_GT(b[Id::kProtocolRssBytes], 0u);
+    for (const Id id : {Id::kPageFaults, Id::kTwinsCreated, Id::kDiffsCreated,
+                        Id::kDiffsFetched, Id::kHostMprotectCalls})
+      EXPECT_GT(b[id], 0u) << "rank " << p << " cell " << static_cast<int>(id);
+    for (const runner::ctr::Desc& d : runner::ctr::kRegistry) {
+      if (endpoint_cell(d.id)) continue;
+      const std::uint64_t want = d.agg == runner::ctr::Agg::kSum
+                                     ? a[d.id] + b[d.id]
+                                     : std::max(a[d.id], b[d.id]);
+      EXPECT_EQ(r.procs[p].ctrs[d.id], want)
+          << "rank " << p << " counter " << d.json_key;
+    }
+  }
+}
+
+TEST(TmkRuntime, OneRuntimeReportsExactlyItsCounters) {
+  const auto [r, snaps] = run_and_snapshot(1);
+  for (std::size_t p = 0; p < r.procs.size(); ++p) {
+    EXPECT_GT(snaps[p][Id::kPageFaults], 0u) << "rank " << p;
+    for (const runner::ctr::Desc& d : runner::ctr::kRegistry) {
+      if (endpoint_cell(d.id)) continue;
+      EXPECT_EQ(r.procs[p].ctrs[d.id], snaps[p][d.id])
+          << "rank " << p << " counter " << d.json_key;
+    }
+  }
+}
+
+// ---- integer knobs (config.hpp) ---------------------------------------
+
+// An integer knob outside [lo, INT_MAX] warns and keeps its default
+// instead of wrapping through the int cast: 2^32 + 1 once made every
+// barrier a GC round, and -1 or 2^32 silently stored no race reports.
+TEST(TmkConfig, IntegerKnobsOutsideTheIntRangeKeepTheirDefaults) {
+  const tmk::Config dflt{};
+  const auto interval = [](const char* v) {
+    const test::EnvGuard g("TMK_EPOCH_GC_INTERVAL", v);
+    return tmk::Config::from_env().epoch_gc_interval;
+  };
+  const auto max_reports = [](const char* v) {
+    const test::EnvGuard g("TMK_RACECHECK_MAX_REPORTS", v);
+    return tmk::Config::from_env().racecheck_max_reports;
+  };
+  for (const char* v : {"4294967297", "2147483648", "0", "-1"})
+    EXPECT_EQ(interval(v), dflt.epoch_gc_interval) << v;
+  EXPECT_EQ(interval("1"), 1);
+  EXPECT_EQ(interval("2147483647"), 2147483647);
+  for (const char* v : {"-1", "4294967296", "2147483648"})
+    EXPECT_EQ(max_reports(v), dflt.racecheck_max_reports) << v;
+  EXPECT_EQ(max_reports("0"), 0);
+  EXPECT_EQ(max_reports("2147483647"), 2147483647);
 }
 
 // A fault outside the rank's own heap is not the DSM's: the runtime
