@@ -18,20 +18,17 @@ namespace {
 constexpr std::size_t kMaxPooledBuffers = 32;
 
 /// Pops a pooled buffer (capacity reuse) or default-constructs one.
-/// Every take — pooled or fresh — counts toward the pool's demand
-/// high-water mark for Endpoint::trim_buffer_pools().
 std::vector<std::byte> take_buffer(BufferPool& pool) {
-  ++pool.takes;
-  if (pool.bufs.empty()) return {};
-  std::vector<std::byte> buf = std::move(pool.bufs.back());
-  pool.bufs.pop_back();
+  if (pool.empty()) return {};
+  std::vector<std::byte> buf = std::move(pool.back());
+  pool.pop_back();
   buf.clear();
   return buf;
 }
 
 void give_buffer(BufferPool& pool, std::vector<std::byte>&& buf) {
-  if (pool.bufs.size() < kMaxPooledBuffers && buf.capacity() > 0)
-    pool.bufs.push_back(std::move(buf));
+  if (pool.size() < kMaxPooledBuffers && buf.capacity() > 0)
+    pool.push_back(std::move(buf));
 }
 
 }  // namespace
@@ -322,17 +319,6 @@ void Endpoint::recycle_buffer(std::vector<std::byte>&& buf) {
 
 void Endpoint::recycle_svc_buffer(std::vector<std::byte>&& buf) {
   give_buffer(svc_buffer_pool_, std::move(buf));
-}
-
-void Endpoint::trim_buffer_pools() {
-  // Main thread only (the app pool's owner). Keeps at most as many
-  // pooled buffers as were taken since the last trim — a burst that
-  // briefly pooled kMaxPooledBuffers oversized payloads stops pinning
-  // their capacity once the steady state no longer draws that many.
-  // The svc pool belongs to the service thread and is not touched.
-  if (app_buffer_pool_.bufs.size() > app_buffer_pool_.takes)
-    app_buffer_pool_.bufs.resize(app_buffer_pool_.takes);
-  app_buffer_pool_.takes = 0;
 }
 
 Frame Endpoint::wait_app(FramePredicate pred) {

@@ -62,14 +62,10 @@ class FramePredicate {
   bool (*call_)(const void*, const Frame&);
 };
 
-/// Recycled payload-buffer pool plus its demand signal: `takes` counts
-/// buffers drawn since the last Endpoint::trim_buffer_pools(), so the
-/// trim can shrink a post-spike surplus (one giant all-to-all phase,
-/// say) down to what the steady state actually re-uses.
-struct BufferPool {
-  std::vector<std::vector<std::byte>> bufs;
-  std::size_t takes = 0;
-};
+/// Recycled receive-payload buffers. A pool holds at most a fixed
+/// number of buffers (kMaxPooledBuffers in fabric.cpp); a payload
+/// recycled into a full pool goes back to the allocator.
+using BufferPool = std::vector<std::vector<std::byte>>;
 
 /// One rank's protocol end of the mesh, built on the rank's main thread.
 class Endpoint {
@@ -185,12 +181,6 @@ class Endpoint {
   /// Service-thread counterpart of recycle_buffer() for frames consumed
   /// by svc handlers.
   void recycle_svc_buffer(std::vector<std::byte>&& buf);
-
-  /// High-water-mark trim of the app-side receive pool: drops pooled
-  /// buffers beyond the number actually taken since the previous trim
-  /// (the DSM calls this at barriers). Main thread only — the svc pool
-  /// is service-thread-owned and stays bounded by its fixed cap.
-  void trim_buffer_pools();
 
   // ---- failure handling -----------------------------------------------
   //

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -132,11 +133,12 @@ void Runtime::shutdown() {
   // — leaving it running would std::terminate in ~thread, turning a
   // clean blame error into an opaque abort.
   try {
-    // A rank unwinding from a racecheck throw skips the rendezvous:
-    // its peers are still mid-epoch (or unwinding too) and will never
-    // answer; exiting promptly hands teardown to the runner's
-    // peer-death propagation, the same path an injected fault takes.
-    if (nprocs_ > 1 && !race_unwinding_) {
+    // A rank unwinding from an exception (a racecheck throw, a failed
+    // wait, an application error) skips the rendezvous: its peers are
+    // still mid-run (or unwinding too) and will never answer; exiting
+    // promptly hands teardown to the runner's peer-death propagation,
+    // the same path an injected fault takes.
+    if (nprocs_ > 1 && std::uncaught_exceptions() == 0) {
       ep_.set_wait_site(rank_ == 0 ? "shutdown rendezvous (root fan-in)"
                                    : "shutdown rendezvous (depart wait)");
       if (rank_ == 0) {
@@ -242,26 +244,6 @@ void Runtime::mprotect_runs(std::span<const PageIndex> ascending_pages,
     mprotect_range(ascending_pages[i], j - i, prot);
     i = j;
   }
-}
-
-// ---------------------------------------------------------------------
-// Twin buffer pool (caller holds mu_)
-// ---------------------------------------------------------------------
-
-std::unique_ptr<std::byte[]> Runtime::take_twin_buffer() {
-  // Demand signal for the barrier-time high-water-mark trim: pooled or
-  // fresh, every take is one page of this epoch's twin working set.
-  ++twin_takes_epoch_;
-  // Not zero-filled: every caller overwrites the whole page at once.
-  if (twin_pool_.empty())
-    return std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
-  auto twin = std::move(twin_pool_.back());
-  twin_pool_.pop_back();
-  return twin;
-}
-
-void Runtime::recycle_twin(std::unique_ptr<std::byte[]> twin) {
-  if (twin != nullptr) twin_pool_.push_back(std::move(twin));
 }
 
 // ---------------------------------------------------------------------
@@ -380,19 +362,15 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
                                                        diff_scratch_.end());
   ++ctrs_[Ctr::kDiffsCreated];
   ctrs_[Ctr::kDiffBytesCreated] += diff->size();
-  {
-    std::lock_guard<std::mutex> dg(diff_mu_);
-    const Seq covered = px.unflushed.back();
-    for (Seq s : px.unflushed)
-      diffs_.emplace((static_cast<std::uint64_t>(page) << 32) | s,
-                     DiffRec{diff, covered});
-  }
+  const Seq covered = px.unflushed.back();
+  for (Seq s : px.unflushed)
+    diffs_.emplace(diff_key(page, s), DiffRec{diff, covered});
   px.unflushed.clear();
   if (pm.dirty)
     px.twin.swap(flush_snapshot_);  // open-interval writes diff against it
   else
-    recycle_twin(std::move(px.twin));
-  // The twin was re-baselined (recopied or retired) — the race
+    px.twin.reset();  // the diff exists; the next write fault re-twins
+  // The twin was re-baselined (recopied or freed) — the race
   // detector's cumulative write-mask watermark restarts from this
   // image. Open-interval writes made before the flush are baked into
   // the new baseline and drop out of future masks: a documented
@@ -737,12 +715,11 @@ void Runtime::race_maybe_throw() {
     fire = race_throw_pending_;
     race_throw_pending_ = false;
   }
-  if (fire) {
-    race_unwinding_ = true;  // ~Runtime: skip the shutdown rendezvous
+  // ~Runtime sees the exception in flight and skips the rendezvous.
+  if (fire)
     throw common::Error("rank " + std::to_string(rank_) +
                         ": data race detected (TMK_RACECHECK_THROW=1; see "
                         "TMK_RACE_REPORT lines on stderr)");
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -854,7 +831,7 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       const auto covered = r.get<Seq>();
       const auto len = r.get<std::uint32_t>();
       std::span<const std::byte> bytes;
-      const bool shared_blob = (len == 0xffffffffu);
+      const bool shared_blob = (len == kSameAsPrevious);
       if (shared_blob) {
         bytes = prev_bytes;  // one flush covered several intervals
       } else {
@@ -958,6 +935,27 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
   fetch_replies_.clear();
 }
 
+void Runtime::make_writable_locked(PageIndex page) {
+  PageMeta& pm = pages_[page];
+  if (!pm.dirty) {
+    PageExt& px = ext(page);
+    if (px.twin == nullptr) {
+      // First write since the last flush: make a twin. A persistent
+      // twin from earlier intervals is reused without copying (the
+      // big lazy-diffing saving for repeatedly-written pages). Not
+      // zero-filled: the copy overwrites the whole page.
+      px.twin = std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
+      std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
+      ep_.clock().add_model(ep_.clock().model().twin_ns);
+      ++ctrs_[Ctr::kTwinsCreated];
+    }
+    pm.dirty = true;
+    dirty_pages_.push_back(page);
+  }
+  mprotect_page(page, PROT_READ | PROT_WRITE);
+  pm.state = PageState::kReadWrite;
+}
+
 bool Runtime::handle_fault(void* addr, bool is_write_hint) {
   const auto a = reinterpret_cast<std::uintptr_t>(addr);
   const auto base = reinterpret_cast<std::uintptr_t>(heap_);
@@ -998,41 +996,14 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
       }
       if (is_write) {
         std::lock_guard<std::mutex> g(mu_);
-        PageMeta& pm = pages_[page];
-        PageExt& px = ext(page);
-        if (!pm.dirty) {
-          if (px.twin == nullptr) {
-            px.twin = take_twin_buffer();
-            std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
-            ep_.clock().add_model(ep_.clock().model().twin_ns);
-            ++ctrs_[Ctr::kTwinsCreated];
-          }
-          pm.dirty = true;
-          dirty_pages_.push_back(page);
-        }
-        mprotect_page(page, PROT_READ | PROT_WRITE);
-        pm.state = PageState::kReadWrite;
+        make_writable_locked(page);
       }
       return true;
     }
     case PageState::kReadOnly: {
       std::lock_guard<std::mutex> g(mu_);
-      PageMeta& pm = pages_[page];
-      PageExt& px = ext(page);
-      COMMON_CHECK(!pm.dirty);
-      if (px.twin == nullptr) {
-        // First write since the last flush: make a twin. A persistent
-        // twin from earlier intervals is reused without copying (the
-        // big lazy-diffing saving for repeatedly-written pages).
-        px.twin = take_twin_buffer();
-        std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
-        ep_.clock().add_model(ep_.clock().model().twin_ns);
-        ++ctrs_[Ctr::kTwinsCreated];
-      }
-      pm.dirty = true;
-      dirty_pages_.push_back(page);
-      mprotect_page(page, PROT_READ | PROT_WRITE);
-      pm.state = PageState::kReadWrite;
+      COMMON_CHECK(!pages_[page].dirty);
+      make_writable_locked(page);
       return true;
     }
     case PageState::kReadWrite:
@@ -1059,16 +1030,13 @@ void Runtime::barrier() {
   ep_.fault_barrier_entered();
   close_interval();
   if (nprocs_ == 1) {
-    if (cfg_.epoch_gc) {
+    if (gc_round_now()) {
       // Single rank: everything is integrated by construction (no
       // pendings, no peers to wait for), so a GC round reclaims straight
       // up to the current clock.
       std::lock_guard<std::mutex> g(mu_);
-      if (gc_round_now()) {
-        sample_protocol_rss_locked();
-        epoch_gc_reclaim(vc_);
-      }
-      trim_pools_locked();
+      sample_protocol_rss_locked();
+      epoch_gc_reclaim(vc_);
     }
     ++barrier_seq_;
     return;
@@ -1243,10 +1211,6 @@ void Runtime::barrier() {
       gc_have_snapshot_ = true;
     }
   }
-  if (cfg_.epoch_gc) {
-    std::lock_guard<std::mutex> g(mu_);
-    trim_pools_locked();
-  }
   ++barrier_seq_;
   {
     // End of a global rendezvous: every interval closed before it has
@@ -1273,40 +1237,36 @@ void Runtime::barrier() {
 void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
   // Caller holds mu_.
   std::vector<PageIndex> touched;
-  {
-    std::lock_guard<std::mutex> dg(diff_mu_);
-    for (int p = 0; p < nprocs_; ++p) {
-      auto& known = intervals_[static_cast<std::size_t>(p)];
-      const Seq limit = horizon.get(static_cast<ProcId>(p));
-      while (known.base < limit && !known.live.empty()) {
-        std::unique_ptr<IntervalMeta> meta = std::move(known.live.front());
-        known.live.pop_front();
-        COMMON_CHECK(meta->id.seq == known.base + 1);
-        ++known.base;
-        const Seq s = meta->id.seq;
-        for (PageIndex page : meta->pages) {
-          PageExt* px = page_ext_[page].get();
-          if (px == nullptr) continue;
-          COMMON_CHECK_MSG(
-              std::find(px->pending.begin(), px->pending.end(), meta.get()) ==
-                  px->pending.end(),
-              "reclaiming interval (" << p << "," << s
-                                      << ") still pending on page " << page);
-          std::erase(px->notices,
-                     static_cast<const IntervalMeta*>(meta.get()));
-          if (p == rank_) {
-            // Own record: the stored diff blob (if the page ever
-            // flushed) and the unflushed marker (if it never did) both
-            // die with it. Reclaim walks seqs in ascending order, so an
-            // unflushed marker for s can only sit at the front.
-            diffs_.erase((static_cast<std::uint64_t>(page) << 32) | s);
-            if (!px->unflushed.empty() && px->unflushed.front() == s)
-              px->unflushed.erase(px->unflushed.begin());
-          }
-          touched.push_back(page);
+  for (int p = 0; p < nprocs_; ++p) {
+    auto& known = intervals_[static_cast<std::size_t>(p)];
+    const Seq limit = horizon.get(static_cast<ProcId>(p));
+    while (known.base < limit && !known.live.empty()) {
+      std::unique_ptr<IntervalMeta> meta = std::move(known.live.front());
+      known.live.pop_front();
+      COMMON_CHECK(meta->id.seq == known.base + 1);
+      ++known.base;
+      const Seq s = meta->id.seq;
+      for (PageIndex page : meta->pages) {
+        PageExt* px = page_ext_[page].get();
+        if (px == nullptr) continue;
+        COMMON_CHECK_MSG(
+            std::find(px->pending.begin(), px->pending.end(), meta.get()) ==
+                px->pending.end(),
+            "reclaiming interval (" << p << "," << s
+                                    << ") still pending on page " << page);
+        std::erase(px->notices, static_cast<const IntervalMeta*>(meta.get()));
+        if (p == rank_) {
+          // Own record: the stored diff blob (if the page ever flushed)
+          // and the unflushed marker (if it never did) both die with it.
+          // Reclaim walks seqs in ascending order, so an unflushed
+          // marker for s can only sit at the front.
+          diffs_.erase(diff_key(page, s));
+          if (!px->unflushed.empty() && px->unflushed.front() == s)
+            px->unflushed.erase(px->unflushed.begin());
         }
-        ++ctrs_[Ctr::kIntervalsReclaimed];
+        touched.push_back(page);
       }
+      ++ctrs_[Ctr::kIntervalsReclaimed];
     }
   }
   // Stashed pushes wholly below the horizon can never be consumed — the
@@ -1340,10 +1300,10 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
     // Twin retirement: with no unflushed interval left (every remaining
     // fetcher-visible diff is already materialized in diffs_) and no
     // open write in flight, the baseline image serves no future diff.
-    // Drop it — the next write fault re-baselines from the current
+    // Free it — the next write fault re-baselines from the current
     // content, which has the reclaimed writes baked in.
     if (px.twin != nullptr && px.unflushed.empty() && !pm.dirty) {
-      recycle_twin(std::move(px.twin));
+      px.twin.reset();
       px.race_cum_mask = RaceMask{};
     }
     // Fold an emptied slot back to nullptr — the lazy-allocation steady
@@ -1358,11 +1318,11 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
 }
 
 std::uint64_t Runtime::protocol_rss_bytes_locked() const {
-  // Caller holds mu_; takes diff_mu_ for the blob map. Deliberately an
-  // upper bound where exactness would cost more than it informs: a
-  // flush blob shared by several covered intervals counts once per
-  // interval. The soak assertions compare trends (flat vs growing), for
-  // which a consistent over-approximation is exactly as good.
+  // Caller holds mu_. Deliberately an upper bound where exactness would
+  // cost more than it informs: a flush blob shared by several covered
+  // intervals counts once per interval. The soak assertions compare
+  // trends (flat vs growing), for which a consistent over-approximation
+  // is exactly as good.
   std::uint64_t total = 0;
   for (int p = 0; p < nprocs_; ++p) {
     const auto& log = intervals_[static_cast<std::size_t>(p)];
@@ -1372,12 +1332,9 @@ std::uint64_t Runtime::protocol_rss_bytes_locked() const {
       total += m->write_masks.capacity() * sizeof(RaceMask);
     }
   }
-  {
-    std::lock_guard<std::mutex> dg(diff_mu_);
-    for (const auto& [key, rec] : diffs_) {
-      total += sizeof(key) + sizeof(rec);
-      if (rec.blob != nullptr) total += rec.blob->capacity();
-    }
+  for (const auto& [key, rec] : diffs_) {
+    total += sizeof(key) + sizeof(rec);
+    if (rec.blob != nullptr) total += rec.blob->capacity();
   }
   for (const auto& e : page_ext_) {
     if (e == nullptr) continue;
@@ -1388,7 +1345,6 @@ std::uint64_t Runtime::protocol_rss_bytes_locked() const {
     total += e->race_reads.capacity() * sizeof(PageExt::ReadRec);
     if (e->twin != nullptr) total += common::kPageSize;
   }
-  total += twin_pool_.size() * common::kPageSize;
   for (const auto& [key, stash] : push_stash_) {
     total += sizeof(key) + sizeof(stash);
     if (stash.blob != nullptr) total += stash.blob->capacity();
@@ -1403,17 +1359,6 @@ void Runtime::sample_protocol_rss_locked() {
   peak = std::max(peak, protocol_rss_bytes_locked());
 }
 
-void Runtime::trim_pools_locked() {
-  // High-water-mark trim: keep only as many pooled twins as this epoch
-  // actually consumed, so a one-off spike (an init phase touching every
-  // page, say) stops pinning page-sized buffers for the rest of the
-  // run. Runs every barrier when the collector is on.
-  if (twin_pool_.size() > twin_takes_epoch_)
-    twin_pool_.resize(twin_takes_epoch_);
-  twin_takes_epoch_ = 0;
-  ep_.trim_buffer_pools();
-}
-
 Runtime::MemStats Runtime::mem_stats() const {
   std::lock_guard<std::mutex> g(mu_);
   MemStats s;
@@ -1422,7 +1367,6 @@ Runtime::MemStats Runtime::mem_stats() const {
   s.records_reclaimed = ctrs_[Ctr::kIntervalsReclaimed];
   for (int p = 0; p < nprocs_; ++p)
     s.records_live += intervals_[static_cast<std::size_t>(p)].live.size();
-  s.twin_pool_pages = twin_pool_.size();
   for (const auto& e : page_ext_) {
     if (e == nullptr) continue;
     ++s.page_ext_live;
@@ -1572,15 +1516,11 @@ void Runtime::prepare_push_frames() {
       // mid-span (a reader pulled between barriers) — the chain that
       // used to ship as multiple overlapping diffs.
       std::vector<std::shared_ptr<std::vector<std::byte>>> chain;
-      {
-        std::lock_guard<std::mutex> dg(diff_mu_);
-        for (Seq s = e.lo + 1; s <= e.hi; ++s) {
-          const auto it =
-              diffs_.find((static_cast<std::uint64_t>(e.page) << 32) | s);
-          if (it == diffs_.end()) continue;  // seq missed this page
-          if (!chain.empty() && chain.back() == it->second.blob) continue;
-          chain.push_back(it->second.blob);
-        }
+      for (Seq s = e.lo + 1; s <= e.hi; ++s) {
+        const auto it = diffs_.find(diff_key(e.page, s));
+        if (it == diffs_.end()) continue;  // seq missed this page
+        if (!chain.empty() && chain.back() == it->second.blob) continue;
+        chain.push_back(it->second.blob);
       }
       COMMON_CHECK_MSG(!chain.empty(),
                        "no diff for planned push of page " << e.page);

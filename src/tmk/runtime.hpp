@@ -118,14 +118,13 @@ class Runtime {
 
   /// Point-in-time protocol memory accounting (tests and the soak
   /// assertion; protocol_rss_bytes also feeds the run counter of the
-  /// same name through shutdown). Computed under mu_/diff_mu_, so it is
-  /// a consistent snapshot, not a sampled estimate.
+  /// same name through shutdown). Computed under mu_, so it is a
+  /// consistent snapshot, not a sampled estimate.
   struct MemStats {
     std::uint64_t protocol_rss_bytes = 0;  // bytes held by protocol state
     std::uint64_t records_created = 0;     // interval records ever logged
     std::uint64_t records_reclaimed = 0;   // the intervals_reclaimed cell
     std::uint64_t records_live = 0;        // records currently held
-    std::uint64_t twin_pool_pages = 0;     // pooled (idle) twin buffers
     std::uint64_t twins_live = 0;          // twins attached to pages
     std::uint64_t page_ext_live = 0;       // non-null PageExt slots
   };
@@ -228,6 +227,9 @@ class Runtime {
 
   /// Final rendezvous: no shared-memory access is allowed afterwards.
   /// Called automatically by the destructor if not called explicitly.
+  /// While an exception unwinds the rank it skips the rendezvous, which
+  /// peers still mid-run would never answer, and only stops the service
+  /// thread; the runner then blames the rank and poisons the mesh.
   void shutdown();
 
   /// The Runtime whose application thread is the calling thread (set at
@@ -288,7 +290,7 @@ class Runtime {
     // of every unflushed interval. This watermark is that cumulative
     // mask as of the previous close; the delta is the closing
     // interval's own mask. Reset whenever the twin is re-baselined
-    // (created, flushed-and-recopied, or recycled).
+    // (created, flushed-and-recopied, or freed).
     RaceMask race_cum_mask;
     // Read records of the current sync epoch (precise mode only —
     // summary tracks writes exclusively): the open interval's would-be
@@ -323,6 +325,10 @@ class Runtime {
   void put_interval_record(ByteWriter& w, const IntervalMeta& m) const;
   void serialize_own_intervals_after(ByteWriter& w, Seq after_seq) const;
   void read_intervals(ByteReader& r);
+  // Both write-fault paths end here (caller holds mu_): twin the page
+  // unless it still holds a twin, mark it dirty for the open interval,
+  // and map it read-write.
+  void make_writable_locked(PageIndex page);
 
   // -- hybrid update protocol (barrier-time diff push; mode != off) --
   [[nodiscard]] bool pushing() const noexcept {
@@ -412,8 +418,9 @@ class Runtime {
   // The run's knob snapshot, copied from ChildContext at construction.
   const Config cfg_;
 
-  // Guards: vc_, intervals_, pages_ metadata, preapplied_, locks_,
-  // diffs_ has its own mutex (service reads it while main computes).
+  // The one lock on protocol state: vc_, intervals_, pages_ and
+  // page_ext_, preapplied_, locks_, diffs_ and the flush scratch. The
+  // service thread holds it for the whole of each request it serves.
   mutable std::mutex mu_;
   VectorClock vc_;
   // Per-creator interval log: seqs are contiguous by construction, and
@@ -443,13 +450,7 @@ class Runtime {
   // seq, 27-bit page): a flat hash set instead of a node-per-entry
   // std::set on the fault path.
   common::FlatSet64 preapplied_;
-  // Retired twin buffers for reuse: a write fault after a flush grabs a
-  // pooled 4 KiB buffer instead of allocating. Guarded by mu_.
-  std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
   std::vector<LockState> locks_;
-
-  [[nodiscard]] std::unique_ptr<std::byte[]> take_twin_buffer();
-  void recycle_twin(std::unique_ptr<std::byte[]> twin);
 
   // Extended state accessors (caller holds mu_): ext() creates on first
   // use; ext_if() is the read-only peek that never allocates.
@@ -462,7 +463,6 @@ class Runtime {
     return page_ext_[page].get();
   }
 
-  mutable std::mutex diff_mu_;
   // One flushed diff can cover several of a page's intervals (everything
   // since the previous flush); covered_up_to tells the fetcher which
   // write notices the blob satisfies beyond the requested one.
@@ -470,12 +470,20 @@ class Runtime {
     std::shared_ptr<std::vector<std::byte>> blob;
     Seq covered_up_to = 0;
   };
-  // key: (page << 32) | seq — diffs created by this process.
+  // Diffs created by this process, keyed by diff_key(page, seq).
   std::unordered_map<std::uint64_t, DiffRec> diffs_;
+  [[nodiscard]] static constexpr std::uint64_t diff_key(PageIndex page,
+                                                        Seq seq) noexcept {
+    return (static_cast<std::uint64_t>(page) << 32) | seq;
+  }
+  // A kDiffReply entry whose length is this marker shares the previous
+  // entry's bytes (one lazy flush covers several intervals of a page).
+  static constexpr std::uint32_t kSameAsPrevious = 0xffffffffu;
 
   // Flushes a page's lazy diff (creates it from twin vs current content
-  // and registers it for every unflushed interval). Caller holds mu_;
-  // takes diff_mu_ internally. Returns modelled cost.
+  // and registers it for every unflushed interval). Caller holds mu_.
+  // A dirty page adopts the flush snapshot as its new twin; a clean
+  // page's twin has no further use and is freed. Returns modelled cost.
   std::uint64_t flush_page_diff(PageIndex page);
 
   // Reusable worst-case-sized diff encode buffer (service thread, under
@@ -550,12 +558,6 @@ class Runtime {
   // (a rank that reads but writes nothing closes no intervals).
   std::uint32_t race_epoch_ = 0;
   bool race_throw_pending_ = false;
-  // Set when race_maybe_throw fires: this rank is unwinding mid-run, so
-  // ~Runtime must SKIP the shutdown rendezvous — peers are still inside
-  // their epoch loops and would never answer; the rank exits loudly and
-  // the runner's peer-death propagation unwinds the survivors with
-  // blame, exactly like an injected soft fault.
-  bool race_unwinding_ = false;
   // Capped at Config::racecheck_max_reports; the race_reports and
   // race_reports_dropped cells keep counting past the cap.
   std::vector<RaceReport> race_reports_;
@@ -571,7 +573,8 @@ class Runtime {
   // references remain), then force-applies its own pending notices at
   // or below H (modelled validate traffic) and snapshots vc_ as the
   // next round's reclaim horizon. Non-GC barriers are byte-identical to
-  // the GC-off protocol.
+  // the GC-off protocol. Only barrier() counts toward a round: a
+  // program that synchronizes by fork/join alone never reclaims.
   std::uint32_t gc_interval_ = 64;  // Config::epoch_gc_interval, >= 1
   // Validated reclaim horizon from the previous GC round (== vc_ at
   // that round's end, identical on every rank).
@@ -581,9 +584,6 @@ class Runtime {
   // (the intervals_reclaimed cell) + live records (own closes and
   // integrated remotes alike).
   std::uint64_t records_created_ = 0;
-  // Twin-pool high-water-mark trim: buffers taken from the pool since
-  // the last barrier; any pool surplus beyond it is released there.
-  std::size_t twin_takes_epoch_ = 0;
 
   /// True when barrier number `barrier_seq_` is a GC round (1-based:
   /// the arriving barrier is barrier_seq_ + 1).
@@ -592,13 +592,14 @@ class Runtime {
   }
   // Frees every interval record with seq <= horizon[creator] plus the
   // diff blobs, notices, unflushed prefixes, stashed pushes, and race
-  // metadata that reference them; folds emptied PageExt slots back to
-  // nullptr. Caller holds mu_; takes diff_mu_ internally.
+  // metadata that reference them; frees the twins of pages left with
+  // nothing to flush and folds emptied PageExt slots back to nullptr.
+  // Caller holds mu_.
   void epoch_gc_reclaim(const VectorClock& horizon);
+  // Bytes of protocol state held right now (caller holds mu_).
   [[nodiscard]] std::uint64_t protocol_rss_bytes_locked() const;
   // Raises the protocol_rss_bytes cell (a peak) to the current footprint.
   void sample_protocol_rss_locked();
-  void trim_pools_locked();
 
   // -- hybrid update protocol state (mode != off only) --
   struct PushPlanEntry {

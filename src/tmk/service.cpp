@@ -44,10 +44,6 @@ void Runtime::service_loop() {
   }
 }
 
-// Reply entry whose length is this marker shares the previous entry's
-// bytes (one lazy flush covers several intervals of a page).
-inline constexpr std::uint32_t kSameAsPrevious = 0xffffffffu;
-
 void Runtime::serve_diff_request(const mpl::Frame& f) {
   const auto& m = ep_.clock().model();
   ByteReader r(f.payload);
@@ -76,22 +72,17 @@ void Runtime::serve_diff_request(const mpl::Frame& f) {
         px.adaptive_consumers.set(f.src);
         px.push_budget = Config::push_credits;
       }
-      const auto key = (static_cast<std::uint64_t>(page) << 32) | seq;
-      const DiffRec* rec = nullptr;
-      {
-        std::lock_guard<std::mutex> dg(diff_mu_);
-        if (auto it = diffs_.find(key); it != diffs_.end()) rec = &it->second;
-      }
-      if (rec == nullptr) {
+      const auto key = diff_key(page, seq);
+      auto it = diffs_.find(key);
+      if (it == diffs_.end()) {
         // Lazy flush: create the diff(s) for this page now.
         handler += flush_page_diff(page);
-        std::lock_guard<std::mutex> dg(diff_mu_);
-        auto it = diffs_.find(key);
+        it = diffs_.find(key);
         COMMON_CHECK_MSG(it != diffs_.end(),
                          "diff request for unknown diff: page "
                              << page << " seq " << seq);
-        rec = &it->second;
       }
+      const DiffRec* rec = &it->second;
       w.put<PageIndex>(page);
       w.put<Seq>(seq);
       w.put<Seq>(rec->covered_up_to);

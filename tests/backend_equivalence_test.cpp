@@ -178,10 +178,6 @@ TEST(EpochGcIdleIdentity, OffIsBitIdenticalToIdleCollectorOnThreadMesh) {
   }
   for (const runner::ctr::Desc& d : runner::ctr::kRegistry) {
     if (d.layer != runner::ctr::Layer::kDsm) continue;  // host = wall clock
-    // protocol_rss_bytes is a host-side footprint gauge, not a wire
-    // observable: an idle-but-enabled collector still trims pools at
-    // barriers, so its gauge legitimately reads lower than off's.
-    if (d.id == runner::ctr::Id::kProtocolRssBytes) continue;
     EXPECT_EQ(on.total_ctrs[d.id], off.total_ctrs[d.id])
         << "counter " << d.json_key;
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -323,6 +324,44 @@ TEST(ChaosBlame, LockWedgeProcessBackend) {
 
 TEST(ChaosBlame, LockWedgeThreadBackend) {
   expect_lock_wedge_blamed(runner::Backend::kThread);
+}
+
+// ---- application exception blame -------------------------------------
+
+/// Rank 1 throws an ordinary exception between two barriers while rank
+/// 0 waits in the second. The thrower's ~Runtime must skip the shutdown
+/// rendezvous, so its failure reaches the runner, which poisons the mesh
+/// and names rank 1 within seconds rather than at the watchdog (on the
+/// thread backend the watchdog would end the test binary).
+void expect_application_exception_blamed(runner::Backend b) {
+  runner::SpawnOptions opts = chaos_options(b);
+  opts.timeout_sec = 60;
+  const auto t0 = Clock::now();
+  try {
+    runner::spawn(2, opts, [](runner::ChildContext& c) {
+      tmk::Runtime rt(c);
+      rt.barrier();
+      if (rt.rank() == 1)
+        throw std::runtime_error("application failure on rank 1");
+      rt.barrier();
+      return 0.0;
+    });
+    FAIL() << "spawn should have thrown";
+  } catch (const common::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(" 1 failed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("application failure on rank 1"), std::string::npos)
+        << msg;
+  }
+  EXPECT_LT(seconds_since(t0), 10.0) << "the throwing rank was not blamed";
+}
+
+TEST(ChaosBlame, ApplicationExceptionProcessBackend) {
+  expect_application_exception_blamed(runner::Backend::kProcess);
+}
+
+TEST(ChaosBlame, ApplicationExceptionThreadBackend) {
+  expect_application_exception_blamed(runner::Backend::kThread);
 }
 
 }  // namespace

@@ -9,14 +9,15 @@
 //     protocol footprint grows with the epoch count, with it on the
 //     phase-aligned footprint stays flat (asserted in-child) and far
 //     below the off run's;
-//   - pool hygiene at barrier time: a one-epoch twin spike returns to
-//     the OS once quiet barriers follow (high-water-mark trim), and
+//   - twin lifetime: a clean flush frees the twin, a one-epoch twin
+//     spike returns to the allocator once quiet GC rounds follow, and
 //     fully-consumed per-page extensions fold back to nullptr;
 //   - the wire cost of a GC round: one vector clock on each barrier
 //     depart, nothing on the arrivals, no extra messages;
 //   - the CI soak (64 ranks, thousands of barrier epochs) — skipped
 //     unless TMK_SOAK is set, so tier-1 ctest stays fast.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -194,7 +195,7 @@ TEST(EpochGcGrowth, OffFootprintDwarfsOnFootprint) {
   }
 }
 
-// ---- pool hygiene: spike-return and PageExt fold ---------------------
+// ---- twin lifetime: spike-return and PageExt fold --------------------
 
 TEST(EpochGcPools, TwinSpikeReturnsAndPageExtFoldsAfterQuietBarriers) {
   constexpr int kPages = 32;
@@ -213,18 +214,20 @@ TEST(EpochGcPools, TwinSpikeReturnsAndPageExtFoldsAfterQuietBarriers) {
                        "expected one live twin per dirtied page, got "
                            << spike.twins_live);
     // Quiet epochs: GC rounds (interval 4) validate rank 1's pending
-    // notices, drain rank 0's unflushed intervals, retire the twins,
-    // and the high-water-mark trim (zero takes per epoch) returns the
-    // pooled frames. Fully-consumed extensions fold back to nullptr.
+    // notices, drain rank 0's unflushed intervals and free the twins,
+    // whose pages leave the footprint. Fully-consumed extensions fold
+    // back to nullptr.
     for (int e = 0; e < 16; ++e) rt.barrier();
     const auto end = rt.mem_stats();
     COMMON_CHECK_MSG(end.twins_live == 0, "rank " << rt.rank() << ": "
                                                   << end.twins_live
                                                   << " twins still live");
-    COMMON_CHECK_MSG(end.twin_pool_pages == 0,
-                     "rank " << rt.rank() << ": twin pool kept "
-                             << end.twin_pool_pages
-                             << " frames after quiet barriers");
+    if (rt.rank() == 0)
+      COMMON_CHECK_MSG(
+          end.protocol_rss_bytes + kPages * common::kPageSize <=
+              spike.protocol_rss_bytes,
+          "footprint " << end.protocol_rss_bytes << " after quiet barriers, "
+                       << spike.protocol_rss_bytes << " at the spike");
     COMMON_CHECK_MSG(end.page_ext_live == 0,
                      "rank " << rt.rank() << ": " << end.page_ext_live
                              << " page extensions not folded");
@@ -236,6 +239,60 @@ TEST(EpochGcPools, TwinSpikeReturnsAndPageExtFoldsAfterQuietBarriers) {
   for (const auto& p : r.procs) EXPECT_DOUBLE_EQ(p.checksum, 1.0);
   EXPECT_GT(r.ctr(Id::kIntervalsReclaimed), 0u);
 }
+
+// A twin has no use once its page's diff exists. With the collector off
+// only the lazy flush can retire it: rank 0 dirties 32 pages, rank 1's
+// read faults make rank 0's service thread flush each clean page, and
+// every twin must leave rank 0's footprint. Rank 0's two mem_stats()
+// snapshots reach the test through a MAP_SHARED mapping made before the
+// spawn, which forked ranks share too.
+class TwinLifetime : public ::testing::TestWithParam<runner::Backend> {};
+
+TEST_P(TwinLifetime, CleanFlushFreesTheTwin) {
+  constexpr int kPages = 32;
+  struct Snaps {
+    tmk::Runtime::MemStats dirtied;
+    tmk::Runtime::MemStats flushed;
+  };
+  void* shared = mmap(nullptr, sizeof(Snaps), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* snaps = static_cast<Snaps*>(shared);
+  runner::SpawnOptions opts = fast_options(false, 64);
+  opts.backend = GetParam();
+  const auto r = runner::spawn(2, opts, [snaps](runner::ChildContext& ctx) {
+    tmk::Runtime rt(ctx);
+    auto* heap = rt.alloc<std::uint64_t>(kPages * 512);
+    if (rt.rank() == 0)
+      for (int q = 0; q < kPages; ++q) heap[q * 512] = q + 1;
+    rt.barrier();
+    if (rt.rank() == 0) snaps->dirtied = rt.mem_stats();
+    rt.barrier();  // rank 0's snapshot precedes rank 1's first fetch
+    double sum = 0;
+    if (rt.rank() == 1)
+      for (int q = 0; q < kPages; ++q)
+        sum += static_cast<double>(heap[q * 512]);
+    rt.barrier();
+    if (rt.rank() == 0) snaps->flushed = rt.mem_stats();
+    return sum;
+  });
+  const Snaps s = *snaps;
+  munmap(shared, sizeof(Snaps));
+  EXPECT_DOUBLE_EQ(r.procs[1].checksum, kPages * (kPages + 1) / 2);
+  EXPECT_EQ(s.dirtied.twins_live, std::uint64_t{kPages});
+  EXPECT_EQ(s.flushed.twins_live, 0u);
+  EXPECT_GE(s.dirtied.protocol_rss_bytes,
+            s.flushed.protocol_rss_bytes + kPages * common::kPageSize / 2)
+      << "dirtied " << s.dirtied.protocol_rss_bytes << ", flushed "
+      << s.flushed.protocol_rss_bytes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, TwinLifetime,
+                         ::testing::Values(runner::Backend::kProcess,
+                                           runner::Backend::kThread),
+                         [](const auto& info) {
+                           return std::string(runner::to_string(info.param));
+                         });
 
 // ---- wire cost of a GC round ------------------------------------------
 
