@@ -330,16 +330,28 @@ Frame Endpoint::wait_app(FramePredicate pred) {
   // on_recv discards in favour of the modelled costs.
   clock_.fold_compute();
   for (;;) {
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (pred(*it)) {
-        Frame f = std::move(*it);
-        pending_.erase(it);
-        clock_.on_recv(f.vt_arrival, f.src == rank_);
-        return f;
-      }
-    }
+    if (std::optional<Frame> f = take_pending(pred)) return std::move(*f);
     drain_app(/*block=*/true);
   }
+}
+
+std::optional<Frame> Endpoint::poll_app(FramePredicate pred) {
+  flush_burst();
+  clock_.fold_compute();
+  if (std::optional<Frame> f = take_pending(pred)) return f;
+  drain_app(/*block=*/false);
+  return take_pending(pred);
+}
+
+std::optional<Frame> Endpoint::take_pending(FramePredicate pred) {
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    if (!pred(*it)) continue;
+    Frame f = std::move(*it);
+    pending_.erase(it);
+    clock_.on_recv(f.vt_arrival, f.src == rank_);
+    return f;
+  }
+  return std::nullopt;
 }
 
 Frame Endpoint::wait_app_kind(FrameKind kind) {

@@ -99,10 +99,9 @@ class Endpoint {
 
   // ---- per-peer send bursts (main thread) ----
   //
-  // A multi-frame operation toward one peer — a barrier arrival carrying
-  // write notices, a barrier depart with its pushed diffs, a lock grant
-  // with piggybacked intervals — can be handed to the transport as ONE
-  // unit:
+  // A multi-frame operation toward one peer can be handed to the
+  // transport as ONE unit (a single message already is one, however
+  // many chunks it spans):
   //
   //   ep.begin_burst(dst);
   //   ep.send_app(...); ep.send_svc(...);   // frames are batched
@@ -169,6 +168,13 @@ class Endpoint {
 
   /// Convenience: wait for a specific kind from a specific source.
   Frame wait_app_kind_from(FrameKind kind, int src);
+
+  /// Non-blocking wait_app: the first pending frame matching `pred`,
+  /// else the first one a single drain of the app channels completes,
+  /// else nullopt. By the ring mesh's delivery contract (transport.hpp),
+  /// a frame published before a send that causally precedes a frame
+  /// this rank already received is always found.
+  std::optional<Frame> poll_app(FramePredicate pred);
 
   /// Non-blocking drain of app channels into the pending queue.
   void pump();
@@ -298,6 +304,10 @@ class Endpoint {
   // Drains ready app datagrams; appends completed frames to pending_.
   // If `block`, waits until at least one frame completes.
   void drain_app(bool block);
+
+  // Removes and returns the first pending frame matching `pred`, charging
+  // the virtual clock for its receive.
+  std::optional<Frame> take_pending(FramePredicate pred);
 
   /// Main-thread health re-check between wait slices: throws when this
   /// rank's fault fired, fail_wait()s on peer poison or an expired

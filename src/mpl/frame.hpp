@@ -48,7 +48,8 @@ enum class FrameKind : std::uint16_t {
   kForkWork,      // master (main) -> worker (main): improved interface §2.3
   kJoinDone,      // worker (main) -> master (main)
   kPushData,      // tmk extension: push()/bcast() data (Dwarkadas et al. [7])
-  kDiffPush,      // hybrid update protocol: barrier-time pushed diffs
+  kDiffPush,      // hybrid update protocol: barrier-time pushed diffs;
+                  // tag = the barrier's sequence number
   // ---- harness (uncounted) ----
   kShutdownArrive,  // final rendezvous before service threads stop
   kShutdownDepart,

@@ -26,7 +26,13 @@
 // pushed by ONE sending thread toward one (destination, lane) arrive
 // in push order. Datagrams from different sending threads (a peer's
 // main and service threads share outgoing channels) may interleave
-// arbitrarily.
+// arbitrarily. Causality carries across channels: a datagram published
+// before a send that causally precedes a receive (through any chain of
+// sends and receives on this mesh) is drainable by the receiver's next
+// drain after that receive. A publish releases its ring's tail and
+// active-mask bit and a drain acquires both, so the chain orders the
+// earlier publish before that drain. The hybrid update protocol's
+// barrier-time pushes rely on this (tmk::Runtime::collect_pushes).
 //
 // Failure handling lives in the Transport's public methods, above the
 // ring layout. They

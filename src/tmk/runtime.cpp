@@ -82,17 +82,9 @@ Runtime::Runtime(runner::ChildContext& ctx)
   // Knobs come from cfg_, the run's snapshot (resolved once at spawn —
   // env parsing and warn-once validation live in tmk/config.hpp). Only
   // the values that need normalizing are derived here.
-  if (pushing()) push_counts_.assign(static_cast<std::size_t>(nprocs_), 0);
   gc_interval_ = cfg_.epoch_gc_interval > 0
                      ? static_cast<std::uint32_t>(cfg_.epoch_gc_interval)
                      : 64;
-  if (rank_ == 0) {
-    // The barrier manager's per-worker state, indexed by rank - 1.
-    const auto workers = static_cast<std::size_t>(nprocs_ - 1);
-    barrier_child_vc_.resize(workers);
-    push_counts_child_rx_.resize(workers);
-    push_counts_sent_down_.resize(workers);
-  }
 
   install_sigsegv_handler();
   host_fault_cost_ns_ = measure_host_fault_cost_ns();
@@ -478,9 +470,9 @@ void Runtime::serialize_intervals_lacking(ByteWriter& w,
   // interval the peer lacks according to their_vc, bounded by what we
   // know (vc_).
   // A floor below a creator's reclaimed prefix can only mean the peer's
-  // recorded clock is stale (e.g. worker_vc_ across many barriers): the
-  // reclaim horizon proves every rank integrated those seqs long ago,
-  // so clamping to `base` skips only records the peer already holds.
+  // recorded clock is stale: the reclaim horizon proves every rank
+  // integrated those seqs long ago, so clamping to `base` skips only
+  // records the peer already holds.
   std::uint32_t count = 0;
   for (int p = 0; p < nprocs_; ++p) {
     const auto pid = static_cast<ProcId>(p);
@@ -1014,14 +1006,85 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
 }
 
 // ---------------------------------------------------------------------
-// Barrier (§2.2: centralized manager at rank 0, 2(n-1) messages). Each
-// worker sends one arrival carrying its vector clock and its own new
-// intervals, then waits for one depart. The manager reads the n-1
-// arrivals and sends each worker exactly the intervals it lacked at
-// arrival. Two extensions ride the same messages: the hybrid update
-// protocol's kDiffPush frame counts, and on GC rounds the epoch GC's
-// global horizon, which only the departs carry.
+// Rendezvous (§2.2, §2.3): a centralized manager at rank 0. Each worker
+// sends one arrival carrying its vector clock and its own new
+// intervals; the manager reads the n-1 arrivals and sends each worker
+// one depart with exactly the intervals it lacks. A barrier is both
+// waves, 2(n-1) messages. The improved compiler interface splits it in
+// two: join is the arrival wave, and fork is the depart wave with the
+// loop-control block as the depart's header. On epoch-GC rounds the
+// barrier's departs also carry the global horizon.
 // ---------------------------------------------------------------------
+
+void Runtime::send_arrival(mpl::FrameKind kind, std::uint32_t seq) {
+  ByteWriter w;
+  w.put<std::uint32_t>(seq);
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    w.put_vc(vc_, nprocs_);
+    serialize_own_intervals_after(w, sent_to_master_seq_);
+    sent_to_master_seq_ = vc_.get(static_cast<ProcId>(rank_));
+  }
+  ep_.send_app(0, kind, 0, 0, w.bytes());
+}
+
+void Runtime::gather_arrivals(mpl::FrameKind kind, std::uint32_t seq,
+                              VectorClock* horizon) {
+  if (horizon != nullptr) {
+    // The manager's own share of the horizon is its pre-fan-in clock
+    // (the workers' integrated news must not inflate the minimum).
+    std::lock_guard<std::mutex> g(mu_);
+    *horizon = vc_;
+  }
+  for (int i = 1; i < nprocs_; ++i) {
+    mpl::Frame f = ep_.wait_app_kind(kind);
+    COMMON_CHECK_MSG(f.src > 0 && f.src < nprocs_,
+                     "arrival from rank " << f.src);
+    ByteReader r(f.payload);
+    const auto their_seq = r.get<std::uint32_t>();
+    COMMON_CHECK_MSG(their_seq == seq, "rendezvous sequence mismatch");
+    const VectorClock their = r.get_vc(nprocs_);
+    std::lock_guard<std::mutex> g(mu_);
+    read_intervals(r);
+    if (horizon != nullptr) horizon->meet(their);
+    // Deliberately NO vc_.merge(their): a worker's vc can claim
+    // intervals it learned about through a lock chain — claims whose
+    // creators may not have arrived yet. Merging them would let a
+    // concurrent lock grant, serialized bounded by vc_, index interval
+    // records never received. vc_ grows only through
+    // integrate_interval, so it always equals what intervals_
+    // actually holds; every claim is covered by its creator's own
+    // arrival before the fan-in ends.
+    worker_vc_[static_cast<std::size_t>(f.src)] = their;
+    ep_.recycle_buffer(std::move(f.payload));
+  }
+}
+
+void Runtime::send_departs(mpl::FrameKind kind, std::uint32_t seq,
+                           std::span<const std::byte> header,
+                           const VectorClock* horizon) {
+  for (int dst = 1; dst < nprocs_; ++dst) {
+    VectorClock& their = worker_vc_[static_cast<std::size_t>(dst)];
+    ByteWriter w;
+    w.put<std::uint32_t>(seq);
+    w.put_bytes(header);
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      w.put_vc(vc_, nprocs_);
+      serialize_intervals_lacking(w, their);
+      their.merge(vc_);
+    }
+    if (horizon != nullptr) w.put_vc(*horizon, nprocs_);
+    ep_.send_app(dst, kind, 0, 0, w.bytes());
+  }
+}
+
+void Runtime::integrate_depart(ByteReader& r) {
+  const VectorClock manager_vc = r.get_vc(nprocs_);
+  std::lock_guard<std::mutex> g(mu_);
+  read_intervals(r);
+  vc_.merge(manager_vc);
+}
 
 void Runtime::barrier() {
   simx::ProtocolSection protocol(ep_.clock());
@@ -1050,73 +1113,20 @@ void Runtime::barrier() {
   // every rank agrees on the wire shape without negotiation.
   const bool gc_round = gc_round_now();
   VectorClock gc_horizon;
-  const auto fold_min = [this](VectorClock& into, const VectorClock& other) {
-    for (int p = 0; p < nprocs_; ++p) {
-      const auto pid = static_cast<ProcId>(p);
-      into.set(pid, std::min(into.get(pid), other.get(pid)));
-    }
-  };
-  if (pushing()) {
-    std::lock_guard<std::mutex> g(mu_);
-    build_push_plan();
-  }
+  VectorClock* const horizon = gc_round ? &gc_horizon : nullptr;
 
   char site[64];
   std::snprintf(site, sizeof(site), "barrier %u fan-in", barrier_seq_);
   ep_.set_wait_site(site);
+  // This barrier's pushes leave before the arrival: each is then
+  // published before every depart, which collect_pushes relies on.
+  if (pushing()) send_pushes();
 
   if (rank_ == 0) {
-    // ---- manager: n-1 arrivals ----
-    if (gc_round) {
-      // The manager's own share of the horizon is its pre-fan-in clock
-      // (the workers' integrated news must not inflate the minimum).
-      std::lock_guard<std::mutex> g(mu_);
-      gc_horizon = vc_;
-    }
-    for (int i = 1; i < nprocs_; ++i) {
-      mpl::Frame f = ep_.wait_app_kind(mpl::FrameKind::kBarrierArrive);
-      COMMON_CHECK_MSG(f.src > 0 && f.src < nprocs_,
-                       "barrier arrive from rank " << f.src);
-      const auto worker = static_cast<std::size_t>(f.src - 1);
-      ByteReader r(f.payload);
-      const auto seq = r.get<std::uint32_t>();
-      COMMON_CHECK_MSG(seq == barrier_seq_, "barrier sequence mismatch");
-      VectorClock their = r.get_vc(nprocs_);
-      std::lock_guard<std::mutex> g(mu_);
-      read_intervals(r);
-      // Each worker reports how many kDiffPush frames it will send to
-      // each destination; sum them into the run-wide totals.
-      if (pushing())
-        read_push_counts(r, /*accumulate=*/true, push_counts_child_rx_[worker]);
-      if (gc_round) fold_min(gc_horizon, their);
-      // Deliberately NO vc_.merge(their): a worker's vc can claim
-      // intervals it learned about through a lock chain — claims whose
-      // creators may not have arrived yet. Merging them would let a
-      // concurrent lock grant, serialized bounded by vc_, index interval
-      // records never received. vc_ grows only through
-      // integrate_interval, so it always equals what intervals_
-      // actually holds; every claim is covered by its creator's own
-      // arrival before the fan-in ends.
-      barrier_child_vc_[worker] = std::move(their);
-      ep_.recycle_buffer(std::move(f.payload));
-    }
+    gather_arrivals(mpl::FrameKind::kBarrierArrive, barrier_seq_, horizon);
+    send_departs(mpl::FrameKind::kBarrierDepart, barrier_seq_, {}, horizon);
   } else {
-    // ---- worker: one arrival, one depart ----
-    ByteWriter w;
-    w.put<std::uint32_t>(barrier_seq_);
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      w.put_vc(vc_, nprocs_);
-      serialize_own_intervals_after(w, sent_to_master_seq_);
-      sent_to_master_seq_ = vc_.get(static_cast<ProcId>(rank_));
-      if (pushing())  // arrival: every destination's count
-        append_push_counts(w, /*only_dst=*/-1, push_counts_sent_up_);
-    }
-    // The arrival (vc + interval metadata, possibly several chunks) goes
-    // to the manager as one burst; the wait below flushes it.
-    ep_.begin_burst(0);
-    ep_.send_app(0, mpl::FrameKind::kBarrierArrive, 0, 0, w.bytes());
-
+    send_arrival(mpl::FrameKind::kBarrierArrive, barrier_seq_);
     std::snprintf(site, sizeof(site), "barrier %u depart (manager 0)",
                   barrier_seq_);
     ep_.set_wait_site(site);
@@ -1124,61 +1134,11 @@ void Runtime::barrier() {
     ByteReader r(f.payload);
     const auto seq = r.get<std::uint32_t>();
     COMMON_CHECK_MSG(seq == barrier_seq_, "barrier sequence mismatch");
-    VectorClock merged = r.get_vc(nprocs_);
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      read_intervals(r);
-      vc_.merge(merged);
-      // The depart carries this rank's run-wide push total.
-      if (pushing())
-        read_push_counts(r, /*accumulate=*/false, push_counts_rx_down_);
-      if (gc_round) gc_horizon = r.get_vc(nprocs_);
-    }
+    integrate_depart(r);
+    if (gc_round) gc_horizon = r.get_vc(nprocs_);
     ep_.recycle_buffer(std::move(f.payload));
   }
-
-  // Flatten the planned diff chains and assemble one kDiffPush payload
-  // per predicted consumer, before the departs go out: a worker that is
-  // also a consumer gets its depart AND its pushed diffs as one burst.
-  if (pushing()) prepare_push_frames();
-
-  if (rank_ == 0) {
-    // ---- manager: departs, tailored to what each worker lacked ----
-    for (int dst = 1; dst < nprocs_; ++dst) {
-      const auto worker = static_cast<std::size_t>(dst - 1);
-      ByteWriter w;
-      w.put<std::uint32_t>(barrier_seq_);
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        w.put_vc(vc_, nprocs_);
-        serialize_intervals_lacking(w, barrier_child_vc_[worker]);
-        if (pushing())  // depart: only the frames this worker receives
-          append_push_counts(w, dst, push_counts_sent_down_[worker]);
-        if (gc_round) w.put_vc(gc_horizon, nprocs_);
-      }
-      // Per-destination burst: each worker's depart (notices included)
-      // is one transport publish however many chunks it spans.
-      ep_.begin_burst(dst);
-      ep_.send_app(dst, mpl::FrameKind::kBarrierDepart, 0, 0, w.bytes());
-      for (auto& pf : push_frames_) {
-        if (pf.first != dst) continue;
-        ep_.send_app(pf.first, mpl::FrameKind::kDiffPush, 0, 0, pf.second);
-        pf.first = -1;  // consumed by the depart burst
-      }
-    }
-  }
-  ep_.flush_burst();
-  if (pushing()) {
-    // Pushes not already sent with a depart follow, one burst per peer;
-    // then collect exactly the frames the totals promised us.
-    for (auto& pf : push_frames_) {
-      if (pf.first < 0) continue;
-      ep_.begin_burst(pf.first);
-      ep_.send_app(pf.first, mpl::FrameKind::kDiffPush, 0, 0, pf.second);
-    }
-    ep_.flush_burst();
-    collect_pushes(push_counts_[static_cast<std::size_t>(rank_)]);
-  }
+  if (pushing()) collect_pushes();
   // ---- epoch GC execution (one round behind the horizon exchange) ----
   if (gc_round) {
     std::vector<PageIndex> stale;
@@ -1192,7 +1152,7 @@ void Runtime::barrier() {
         // the previous GC barrier — but keeps the safety condition local
         // and checkable).
         VectorClock h = gc_ready_horizon_;
-        fold_min(h, gc_horizon);
+        h.meet(gc_horizon);
         epoch_gc_reclaim(h);
       }
       // Validation pass: find every page still carrying pending write
@@ -1379,10 +1339,11 @@ Runtime::MemStats Runtime::mem_stats() const {
 // Hybrid update protocol (TMK_UPDATE_MODE != off): barrier-time diff
 // push. The paper's premise is that the compiler KNOWS the access
 // pattern; hint_consumers feeds that knowledge in, the adaptive
-// predictor learns it from observed diff requests, and the barrier
-// departure pushes each page's flattened diff chain to the predicted
-// consumers — replacing a SIGSEGV fault plus a kDiffRequest/kDiffReply
-// round trip per page per consumer with one pushed frame per peer.
+// predictor learns it from observed diff requests, and each rank's
+// barrier entry pushes each page's flattened diff chain to the
+// predicted consumers, to be applied once the barrier departs —
+// replacing a SIGSEGV fault plus a kDiffRequest/kDiffReply round trip
+// per page per consumer with one pushed frame per peer.
 // ---------------------------------------------------------------------
 
 void Runtime::hint_consumers(const void* base, std::size_t len,
@@ -1404,8 +1365,6 @@ void Runtime::hint_consumers(const void* base, std::size_t len,
 void Runtime::build_push_plan() {
   // Caller holds mu_ (barrier entry, this interval just closed).
   push_plan_.clear();
-  std::fill(push_counts_.begin(), push_counts_.end(), 0);
-  ProcMask planned;
   for (PageIndex page : push_candidates_) {
     PageExt& px = ext(page);
     if (px.own_last_seq <= px.pushed_seq) continue;
@@ -1427,81 +1386,15 @@ void Runtime::build_push_plan() {
     // skipped intervals are pulled as today, never re-offered.
     px.pushed_seq = px.own_last_seq;
     if (!e.dsts.any()) continue;
-    planned.merge(e.dsts);
     push_plan_.push_back(std::move(e));
   }
   push_candidates_.clear();
-  // One frame per destination this barrier, however many pages it packs.
-  for (int d = 0; d < nprocs_; ++d)
-    if (planned.test(d)) ++push_counts_[static_cast<std::size_t>(d)];
 }
 
-void Runtime::append_push_counts(ByteWriter& w, int only_dst,
-                                 std::vector<std::uint16_t>& last_sent) const {
-  // Caller holds mu_. Sparse (dst, frames) pairs — almost every entry is
-  // zero for halo patterns — packed as u8/u8: a dst fits kPackCreatorBits
-  // and a count is at most one frame per sender. An arrival carries
-  // every nonzero dst (only_dst < 0); a depart carries only the
-  // receiving worker's own entry, since that is all it can consume —
-  // sending every worker the full table costs O(n^2) entries per
-  // barrier and showed up as a measurable share of hybrid-mode bytes at
-  // 32+ ranks. On top of that, steady-state access patterns repeat the
-  // identical table barrier after barrier, so each link remembers what
-  // it last carried and an unchanged table collapses to the 1-byte
-  // sentinel 0xff (a real entry count never exceeds nprocs <= 128).
-  std::vector<std::uint16_t> cur(static_cast<std::size_t>(nprocs_), 0);
-  std::uint8_t n = 0;
-  for (int d = 0; d < nprocs_; ++d) {
-    const std::uint16_t c = push_counts_[static_cast<std::size_t>(d)];
-    if (c == 0 || (only_dst >= 0 && d != only_dst)) continue;
-    cur[static_cast<std::size_t>(d)] = c;
-    ++n;
-  }
-  if (!last_sent.empty() && cur == last_sent) {
-    w.put<std::uint8_t>(0xff);
-    return;
-  }
-  w.put<std::uint8_t>(n);
-  for (int d = 0; d < nprocs_; ++d) {
-    const std::uint16_t c = cur[static_cast<std::size_t>(d)];
-    if (c == 0) continue;
-    COMMON_CHECK(c <= 0xfe);
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(d));
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(c));
-  }
-  last_sent = std::move(cur);
-}
-
-void Runtime::read_push_counts(ByteReader& r, bool accumulate,
-                               std::vector<std::uint16_t>& last_rx) {
-  // Caller holds mu_. accumulate=true folds a worker's counts into the
-  // totals (manager fan-in); false replaces them with the depart's entry
-  // for this rank (pre-filtered by the manager). The sentinel 0xff means
-  // "same table as this link carried last barrier".
-  const auto n = r.get<std::uint8_t>();
-  if (n == 0xff) {
-    COMMON_CHECK_MSG(!last_rx.empty(), "push-count sentinel with no history");
-  } else {
-    last_rx.assign(static_cast<std::size_t>(nprocs_), 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto d = r.get<std::uint8_t>();
-      const auto c = r.get<std::uint8_t>();
-      COMMON_CHECK_MSG(d < nprocs_, "push count for rank " << int{d});
-      last_rx[d] = c;
-    }
-  }
-  if (!accumulate) std::fill(push_counts_.begin(), push_counts_.end(), 0);
-  for (int d = 0; d < nprocs_; ++d)
-    push_counts_[static_cast<std::size_t>(d)] = static_cast<std::uint16_t>(
-        push_counts_[static_cast<std::size_t>(d)] +
-        last_rx[static_cast<std::size_t>(d)]);
-}
-
-void Runtime::prepare_push_frames() {
-  push_frames_.clear();
-  if (push_plan_.empty()) return;
+void Runtime::send_pushes() {
   {
     std::lock_guard<std::mutex> g(mu_);
+    build_push_plan();
     const auto& m = ep_.clock().model();
     for (PushPlanEntry& e : push_plan_) {
       PageExt& px = ext(e.page);
@@ -1542,8 +1435,9 @@ void Runtime::prepare_push_frames() {
       }
     }
   }
-  // Assemble one payload per destination (blobs are immutable; no lock
-  // needed). The creator is implicit in the frame's src.
+  // One frame per destination (blobs are immutable; no lock needed):
+  // the creator is implicit in the frame's src, the barrier in its tag.
+  const auto tag = static_cast<std::int32_t>(barrier_seq_);
   for (int d = 0; d < nprocs_; ++d) {
     std::size_t npages = 0;
     for (const PushPlanEntry& e : push_plan_)
@@ -1573,17 +1467,19 @@ void Runtime::prepare_push_frames() {
       w.put_bytes(*e.blob);
       ++ctrs_[Ctr::kDiffPush];
     }
-    push_frames_.emplace_back(d, w.take());
+    ep_.send_app(d, mpl::FrameKind::kDiffPush, tag, 0, w.bytes());
   }
 }
 
-void Runtime::collect_pushes(std::uint32_t expected) {
-  if (expected == 0) return;
-  char site[64];
-  std::snprintf(site, sizeof(site), "barrier %u push collect (%u frames)",
-                barrier_seq_, expected);
-  ep_.set_wait_site(site);
-
+void Runtime::collect_pushes() {
+  // Every push of this barrier left before its sender's arrival, and
+  // this rank now holds its depart (or, as the manager, every
+  // arrival), so by the ring mesh's delivery contract (transport.hpp)
+  // each one is drainable: polling until none is left takes them all.
+  const auto tag = static_cast<std::int32_t>(barrier_seq_);
+  const auto this_barrier = [tag](const mpl::Frame& f) {
+    return f.kind == mpl::FrameKind::kDiffPush && f.tag == tag;
+  };
   struct PushRec {
     PageIndex page;
     ProcId creator;
@@ -1594,15 +1490,13 @@ void Runtime::collect_pushes(std::uint32_t expected) {
   };
   std::vector<PushRec> recs;
   std::vector<mpl::Frame> frames;
-  frames.reserve(expected);
-  for (std::uint32_t i = 0; i < expected; ++i) {
-    mpl::Frame f = ep_.wait_app_kind(mpl::FrameKind::kDiffPush);
-    ByteReader r(f.payload);
+  while (std::optional<mpl::Frame> f = ep_.poll_app(this_barrier)) {
+    ByteReader r(f->payload);
     const auto n = r.get<std::uint16_t>();
     for (std::uint32_t k = 0; k < n; ++k) {
       PushRec rec{};
       rec.page = r.get<PageIndex>();
-      rec.creator = static_cast<ProcId>(f.src);
+      rec.creator = static_cast<ProcId>(f->src);
       rec.hi = r.get<Seq>();
       const auto span = r.get<std::uint8_t>();
       rec.lo = (span == 0xff) ? r.get<Seq>() : rec.hi - span;
@@ -1610,8 +1504,9 @@ void Runtime::collect_pushes(std::uint32_t expected) {
       rec.blob = r.get_bytes(len);
       recs.push_back(rec);
     }
-    frames.push_back(std::move(f));  // keep the blob spans alive
+    frames.push_back(std::move(*f));  // keep the blob spans alive
   }
+  if (frames.empty()) return;
 
   std::lock_guard<std::mutex> g(mu_);
   // Same linear extension of happens-before as the pull path: per page,
@@ -1703,7 +1598,7 @@ void Runtime::collect_pushes(std::uint32_t expected) {
 }
 
 // ---------------------------------------------------------------------
-// Improved compiler interface (§2.3)
+// Improved compiler interface (§2.3): the barrier's two waves, apart.
 // ---------------------------------------------------------------------
 
 void Runtime::fork_broadcast(std::uint32_t func_id,
@@ -1711,23 +1606,12 @@ void Runtime::fork_broadcast(std::uint32_t func_id,
   COMMON_CHECK_MSG(rank_ == 0, "fork_broadcast is master-only");
   simx::ProtocolSection protocol(ep_.clock());
   close_interval();
-  for (int w = 1; w < nprocs_; ++w) {
-    ByteWriter msg;
-    msg.put<std::uint32_t>(fork_seq_);
-    msg.put<std::uint32_t>(func_id);
-    msg.put<std::uint32_t>(static_cast<std::uint32_t>(args.size()));
-    msg.put_bytes(args);
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      msg.put_vc(vc_, nprocs_);
-      serialize_intervals_lacking(msg,
-                                  worker_vc_[static_cast<std::size_t>(w)]);
-      worker_vc_[static_cast<std::size_t>(w)].merge(vc_);
-    }
-    ep_.begin_burst(w);
-    ep_.send_app(w, mpl::FrameKind::kForkWork, 0, 0, msg.bytes());
-  }
-  ep_.flush_burst();
+  ByteWriter loop_control;
+  loop_control.put<std::uint32_t>(func_id);
+  loop_control.put<std::uint32_t>(static_cast<std::uint32_t>(args.size()));
+  loop_control.put_bytes(args);
+  send_departs(mpl::FrameKind::kForkWork, fork_seq_, loop_control.bytes(),
+               nullptr);
   ++fork_seq_;
   {
     // Outgoing edge to every worker: pre-fork reads are ordered before
@@ -1751,11 +1635,9 @@ Runtime::ForkWork Runtime::wait_fork() {
   const auto len = r.get<std::uint32_t>();
   auto bytes = r.get_bytes(len);
   work.args.assign(bytes.begin(), bytes.end());
-  VectorClock master_vc = r.get_vc(nprocs_);
+  integrate_depart(r);
   {
     std::lock_guard<std::mutex> g(mu_);
-    read_intervals(r);
-    vc_.merge(master_vc);
     ++race_epoch_;
   }
   ep_.recycle_buffer(std::move(f.payload));
@@ -1767,19 +1649,14 @@ void Runtime::join_worker() {
   COMMON_CHECK_MSG(rank_ != 0, "join_worker is worker-only");
   simx::ProtocolSection protocol(ep_.clock());
   close_interval();
-  ByteWriter w;
-  w.put<std::uint32_t>(fork_seq_);
   {
-    std::lock_guard<std::mutex> g(mu_);
-    w.put_vc(vc_, nprocs_);
-    serialize_own_intervals_after(w, sent_to_master_seq_);
-    sent_to_master_seq_ = vc_.get(static_cast<ProcId>(rank_));
     // Outgoing sync edge: reads before this join are ordered before
     // anything the master (and, through the next fork, anyone) does
     // after collecting it — prune them rather than false-report.
+    std::lock_guard<std::mutex> g(mu_);
     ++race_epoch_;
   }
-  ep_.send_app(0, mpl::FrameKind::kJoinDone, 0, 0, w.bytes());
+  send_arrival(mpl::FrameKind::kJoinDone, fork_seq_);
 }
 
 void Runtime::join_master() {
@@ -1787,33 +1664,13 @@ void Runtime::join_master() {
   simx::ProtocolSection protocol(ep_.clock());
   close_interval();
   ep_.set_wait_site("join fan-in");
-  for (int i = 1; i < nprocs_; ++i) {
-    mpl::Frame f = ep_.wait_app_kind(mpl::FrameKind::kJoinDone);
-    ByteReader r(f.payload);
-    const auto seq = r.get<std::uint32_t>();
-    COMMON_CHECK_MSG(seq == fork_seq_, "join sequence mismatch");
-    VectorClock their = r.get_vc(nprocs_);
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      read_intervals(r);
-      worker_vc_[static_cast<std::size_t>(f.src)] = their;
-      // No vc_.merge(their): like the barrier fan-in, a worker's vc can
-      // claim lock-learned intervals this master does not yet possess;
-      // vc_ advances only through integrate_interval, and every claimed
-      // interval's creator reports it itself before the loop ends — so
-      // the final clock is identical, without the transient overclaim
-      // window (during which the service thread could serialize a lock
-      // grant bounded by vc_ and index intervals never received).
-    }
-    ep_.recycle_buffer(std::move(f.payload));
-  }
+  gather_arrivals(mpl::FrameKind::kJoinDone, fork_seq_, nullptr);
   {
     std::lock_guard<std::mutex> g(mu_);
     ++race_epoch_;
   }
   race_maybe_throw();
 }
-
 // ---------------------------------------------------------------------
 // Extension interface (§5 optimizations; Dwarkadas et al. [7])
 // ---------------------------------------------------------------------

@@ -325,6 +325,31 @@ class Runtime {
   void put_interval_record(ByteWriter& w, const IntervalMeta& m) const;
   void serialize_own_intervals_after(ByteWriter& w, Seq after_seq) const;
   void read_intervals(ByteReader& r);
+
+  // -- rendezvous halves (§2.2 barrier, §2.3 fork/join; main thread) --
+  // barrier() is an arrival wave then a depart wave; join is the arrival
+  // alone and fork the depart alone, with the loop-control block as the
+  // depart's header. `seq` is the barrier or fork sequence number.
+  //
+  // Worker: seq, vector clock, and the own intervals after
+  // sent_to_master_seq_.
+  void send_arrival(mpl::FrameKind kind, std::uint32_t seq);
+  // Manager: reads the n-1 arrivals, integrates their intervals and
+  // records each worker's clock in worker_vc_. A non-null `horizon` is
+  // set to the manager's pre-fan-in clock met with every arrival clock
+  // (the GC round's global horizon).
+  void gather_arrivals(mpl::FrameKind kind, std::uint32_t seq,
+                       VectorClock* horizon);
+  // Manager: per worker, seq, `header`, the clock, the intervals that
+  // worker lacks per worker_vc_ (then merged with the clock), and a
+  // non-null `horizon` last.
+  void send_departs(mpl::FrameKind kind, std::uint32_t seq,
+                    std::span<const std::byte> header,
+                    const VectorClock* horizon);
+  // Worker: the clock and intervals of a depart whose seq and header
+  // the caller has read.
+  void integrate_depart(ByteReader& r);
+
   // Both write-fault paths end here (caller holds mu_): twin the page
   // unless it still holds a twin, mark it dirty for the open interval,
   // and map it read-write.
@@ -337,24 +362,15 @@ class Runtime {
   // Plan which pages go to which predicted consumers (caller holds mu_;
   // called right after close_interval at barrier entry).
   void build_push_plan();
-  // Sparse per-destination frame counts appended to barrier arrivals
-  // (the worker's own counts, summed by the manager) and departs (the
-  // receiver's global total) — how the receiver knows exactly how many
-  // kDiffPush frames to expect, deterministically. only_dst < 0
-  // appends every nonzero dst (arrival); otherwise only that dst's
-  // entry (depart). last_sent/last_rx are that barrier link's table
-  // cache: an unchanged table ships as a 1-byte sentinel.
-  void append_push_counts(ByteWriter& w, int only_dst,
-                          std::vector<std::uint16_t>& last_sent) const;
-  void read_push_counts(ByteReader& r, bool accumulate,
-                        std::vector<std::uint16_t>& last_rx);
-  // Flattens each planned page's diff chain into one blob and
-  // assembles one kDiffPush payload per destination (takes mu_).
-  void prepare_push_frames();
-  // Waits for exactly `expected` kDiffPush frames, then applies every
-  // fully-covered page (sorted by vc weight, to page and twin alike)
-  // and discards the rest as push_waste.
-  void collect_pushes(std::uint32_t expected);
+  // Barrier entry, before the arrival: plans, flattens each planned
+  // page's diff chain into one blob, and sends one kDiffPush frame per
+  // destination, tagged with barrier_seq_ (takes mu_).
+  void send_pushes();
+  // After the depart: takes every kDiffPush frame of this barrier
+  // without blocking, then applies every fully-covered page (sorted by
+  // vc weight, to page and twin alike) and stashes the rest for the
+  // fault path.
+  void collect_pushes();
 
   // `learn=false` marks the requests as epoch-GC validation traffic
   // (kDiffRequest tag 1): the server answers identically but does NOT
@@ -613,16 +629,6 @@ class Runtime {
   // Pages with own intervals not yet offered to consumers (appended by
   // close_interval, drained by build_push_plan).
   std::vector<PageIndex> push_candidates_;
-  std::vector<std::uint16_t> push_counts_;  // per-dst kDiffPush frames
-  // Count-table caches, one per barrier link (empty = no history yet;
-  // the first barrier always ships the full table): a worker's last
-  // table sent to / received from the manager, and the manager's last
-  // table received from / sent to each worker (indexed by rank - 1).
-  std::vector<std::uint16_t> push_counts_sent_up_;
-  std::vector<std::uint16_t> push_counts_rx_down_;
-  std::vector<std::vector<std::uint16_t>> push_counts_sent_down_;
-  std::vector<std::vector<std::uint16_t>> push_counts_child_rx_;
-  std::vector<std::pair<int, std::vector<std::byte>>> push_frames_;
   DiffMerger diff_merger_;
   // Receiver-side stash of pushed diffs that could NOT be applied at the
   // barrier (the page had pending write notices the round's pushes did
@@ -642,15 +648,14 @@ class Runtime {
   }
   std::unordered_map<std::uint64_t, PushStash> push_stash_;
 
-  // Improved-interface bookkeeping (master side).
+  // Manager only, indexed by rank: what each worker is known to hold,
+  // set by its arrival and merged with the manager's clock at each
+  // depart, which sends it only the intervals beyond it.
   std::vector<VectorClock> worker_vc_;
   // My own intervals already sent to proc 0, by a barrier arrival or a
   // join: the floor both report from.
   Seq sent_to_master_seq_ = 0;
   std::uint32_t barrier_seq_ = 0;
-  // Manager only: each worker's arrival clock this barrier (indexed by
-  // rank - 1), which its depart is tailored to.
-  std::vector<VectorClock> barrier_child_vc_;
   std::uint32_t fork_seq_ = 0;
   std::uint32_t next_req_id_ = 1;
   // Manager-side record of the last process to request each lock.

@@ -41,6 +41,12 @@ class VectorClock {
       v_[i] = std::max(v_[i], o.v_[i]);
   }
 
+  /// Element-wise minimum (the epoch GC's horizon fold).
+  void meet(const VectorClock& o) noexcept {
+    for (std::size_t i = 0; i < v_.size(); ++i)
+      v_[i] = std::min(v_[i], o.v_[i]);
+  }
+
   /// Componentwise <=: this happened-before-or-equals other.
   [[nodiscard]] bool dominated_by(const VectorClock& o) const noexcept {
     for (std::size_t i = 0; i < v_.size(); ++i)

@@ -142,27 +142,27 @@ TEST(Chaos, DeathMidBarrierInprocThread) {
 
 // ---- death with the hybrid update protocol active --------------------
 
-// Under TMK_UPDATE_MODE=hybrid every barrier departure carries staged
-// diff pushes and the barrier messages piggyback push-count tables; a rank
-// dying mid-protocol leaves consumers holding stashed pushes and
-// expecting counts that will never arrive. That state must unwind
-// exactly like a plain death — named blame within the poison grace —
-// not wedge a survivor waiting on a push that is never coming.
+// Under TMK_UPDATE_MODE=hybrid every rank sends its diff pushes at
+// barrier entry, before its arrival, and collects them after the
+// depart; a rank dying mid-protocol leaves consumers holding stashed
+// pushes and a barrier whose depart never comes. That state must
+// unwind exactly like a plain death — named blame within the poison
+// grace — not wedge a survivor waiting on the dead rank.
 TEST(Chaos, DeathMidBarrierWithHybridPushesStaged) {
   // By barrier 3 of barrier_workload (everyone reads every slice, so
   // every page's consumer set is all peers) the predictor has armed and
-  // the victim has live staged pushes and cached count tables.
+  // the victim's peers hold its earlier pushes, some of them stashed.
   test::EnvGuard mode("TMK_UPDATE_MODE", "hybrid");
   expect_death_blamed(runner::Backend::kProcess,
                       "seed=17,rank=any,exit-at-barrier=3,hard=1", "proc 17");
 }
 
 TEST(Chaos, CrashDuringPushSendsHybridProcess) {
-  // crash-at-send lands among the departure-time push frames once the
+  // crash-at-send lands among the barrier-entry push frames once the
   // protocol reaches steady state (15 pushes per barrier on this mesh
-  // dwarf the one arrive frame), so the victim dies with a push burst
-  // half-sent. Survivors' stashes and count caches must not stall the
-  // unwind.
+  // dwarf the one arrive frame), so the victim dies with its pushes
+  // half-sent and its arrival unsent. Survivors' stashes and pushes
+  // left pending under that barrier's tag must not stall the unwind.
   test::EnvGuard mode("TMK_UPDATE_MODE", "hybrid");
   test::EnvGuard fault("TMK_FAULT_INJECT", "rank=3,crash-at-send=40,hard=1");
   const auto t0 = Clock::now();

@@ -242,6 +242,43 @@ TEST_P(EndpointTest, TagFifoPerSource) {
   EXPECT_DOUBLE_EQ(result.procs[1].checksum, 1.0);
 }
 
+// The transport contract's causal clause, which the hybrid update
+// protocol's barrier-time pushes rely on: the origin publishes X to
+// rank 2 before it sends Y to the relay, and the relay sends Z to rank
+// 2 only after receiving Y, so once rank 2 holds Z a single poll_app
+// must find X. Ranks 0 and 1 swap the two roles every round, so X's
+// ring is drained both before and after Z's in a drain pass.
+TEST_P(EndpointTest, PollAppFindsFramesACausalChainPublishedEarlier) {
+  constexpr int kRounds = 64;
+  auto result = runner::spawn(3, popts(), [](runner::ChildContext& c) {
+    auto& ep = c.endpoint;
+    const std::byte x{0x58};
+    for (int round = 0; round < kRounds; ++round) {
+      const int origin = round % 2 == 0 ? 1 : 0;
+      const int relay = 1 - origin;
+      const auto is = [round](mpl::FrameKind kind) {
+        return [round, kind](const mpl::Frame& f) {
+          return f.kind == kind && f.tag == round;
+        };
+      };
+      if (ep.rank() == origin) {
+        ep.send_app(2, mpl::FrameKind::kTestPing, round, 0, {&x, 1});
+        ep.send_app(relay, mpl::FrameKind::kTestPing, round, 0, {});
+      } else if (ep.rank() == relay) {
+        (void)ep.wait_app(is(mpl::FrameKind::kTestPing));
+        ep.send_app(2, mpl::FrameKind::kTestPong, round, 0, {});
+      } else {
+        (void)ep.wait_app(is(mpl::FrameKind::kTestPong));
+        const auto got = ep.poll_app(is(mpl::FrameKind::kTestPing));
+        if (!got.has_value() || got->src != origin || got->payload.size() != 1)
+          return 0.0;
+      }
+    }
+    return 1.0;
+  });
+  for (const auto& p : result.procs) EXPECT_DOUBLE_EQ(p.checksum, 1.0);
+}
+
 TEST_P(EndpointTest, CountersCountLogicalMessagesOnce) {
   auto result = runner::spawn(2, popts(), [](runner::ChildContext& c) {
     auto& ep = c.endpoint;

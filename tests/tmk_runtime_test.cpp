@@ -418,9 +418,16 @@ TEST(TmkRuntime, WorstCaseDiffPatternsFlushAndApply) {
   EXPECT_DOUBLE_EQ(r.procs[1].checksum, 1.0);
 }
 
+// Tmk-layer bytes of a run (summed over ranks).
+std::uint64_t tmk_bytes(const runner::RunResult& r) {
+  return r.total.bytes[static_cast<std::size_t>(mpl::Layer::kTmk)];
+}
+
 // Barrier message count: 2(n-1) per barrier (§2.2). The paper variants
 // run the default (flat, centralized-manager) shape, whose modelled
-// cost must stay exactly the paper's.
+// cost must stay exactly the paper's. With no writes, every message is
+// its sequence number, the vector clock and an empty interval list, in
+// every update mode.
 TEST(TmkRuntime, BarrierCosts2NMinus1Messages) {
   auto r = runner::spawn(8, fast_options(), [](runner::ChildContext& c) {
     tmk::Runtime rt(c);
@@ -431,6 +438,8 @@ TEST(TmkRuntime, BarrierCosts2NMinus1Messages) {
   });
   // 3 counted barriers + shutdown rendezvous (uncounted layer kOther).
   EXPECT_EQ(r.messages(mpl::Layer::kTmk), 3u * 2u * 7u);
+  // seq + interval count (8) + an 8-entry clock (4 * 8) per message.
+  EXPECT_EQ(tmk_bytes(r), 3u * 2u * 7u * (8u + 4u * 8u));
 }
 
 // join_worker and a barrier arrival both report a worker's own
@@ -694,6 +703,44 @@ TEST(TmkRuntime, ForkJoinCosts2NMinus1Messages) {
   });
   // 5 loops * 2(n-1) + final dismissal fork (n-1).
   EXPECT_EQ(r.messages(mpl::Layer::kTmk), 5u * 2u * 7u + 7u);
+  // A write-free fork is seq, func_id, args length, clock and interval
+  // count (16 + 4 * 8 = 48 bytes); a join is seq, clock and count (40).
+  EXPECT_EQ(tmk_bytes(r), 5u * 7u * (48u + 40u) + 7u * 48u);
+}
+
+// A fork right after a barrier sends only the loop-control block and
+// the clock: the barrier's departs already delivered every interval,
+// and the master's per-worker clocks record that. Each rank writes its
+// own page before the barrier, so a fork that went by stale clocks
+// would resend those intervals.
+TEST(TmkRuntime, ForkAfterBarrierResendsNoInterval) {
+  for (const int n : {2, 4}) {
+    SCOPED_TRACE(n);
+    auto r = runner::spawn(n, fast_options(), [](runner::ChildContext& c) {
+      tmk::Runtime rt(c);
+      auto* data = rt.alloc<std::int32_t>(
+          static_cast<std::size_t>(kIntsPerPage) *
+          static_cast<std::size_t>(rt.nprocs()));
+      data[rt.rank() * kIntsPerPage] = rt.rank() + 1;
+      rt.barrier();
+      c.endpoint.mark_measurement_start();
+      if (rt.rank() == 0) {
+        rt.fork_broadcast(0, {});
+        c.endpoint.mark_measurement_end();
+        rt.join_master();
+      } else {
+        (void)rt.wait_fork();
+        c.endpoint.mark_measurement_end();
+        rt.join_worker();
+      }
+      return 0.0;
+    });
+    // The write-free fork: seq, func_id, args length, interval count
+    // (16) and an n-entry clock, to each of the n - 1 workers.
+    const auto workers = static_cast<std::uint64_t>(n - 1);
+    EXPECT_EQ(r.messages(mpl::Layer::kTmk), workers);
+    EXPECT_EQ(tmk_bytes(r), workers * (16u + 4u * static_cast<unsigned>(n)));
+  }
 }
 
 // Two Runtimes in turn on each rank: destroying the first clears the

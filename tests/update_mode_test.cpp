@@ -83,16 +83,20 @@ double controlled_schedule(runner::ChildContext& c) {
   return sum + 1e7 * clock;
 }
 
-// Runs the schedule with the update mode pinned in the run's Config, or
-// with the Config resolved from the environment when `mode` is empty.
-runner::RunResult run_controlled(std::optional<tmk::UpdateMode> mode) {
+// Runs `fn` (the controlled schedule unless given) with the update mode
+// pinned in the run's Config, or with the Config resolved from the
+// environment when `mode` is empty.
+runner::RunResult run_controlled(std::optional<tmk::UpdateMode> mode,
+                                 int nprocs = kProcs,
+                                 const runner::ChildFn& fn =
+                                     controlled_schedule) {
   runner::SpawnOptions o = det_options();
   if (mode.has_value()) {
     tmk::Config cfg = tmk::Config::from_env();
     cfg.update_mode = *mode;
     o.tmk_config = cfg;
   }
-  return runner::spawn(kProcs, o, controlled_schedule);
+  return runner::spawn(nprocs, o, fn);
 }
 
 // ---- off must be a true no-op ----------------------------------------
@@ -160,6 +164,30 @@ TEST(UpdateMode, AdaptivePredictorActuallyPushes) {
   EXPECT_GT(hybrid.ctr(runner::ctr::Id::kPushHits), 0u);
   // A pushed page satisfies the would-be pull, so requests drop.
   EXPECT_LT(hybrid.ctr(runner::ctr::Id::kDiffRequests), off.ctr(runner::ctr::Id::kDiffRequests));
+}
+
+// Each rank rewrites only its own page, so no rank ever pulls a diff
+// and the predictor never predicts a consumer. Hybrid then pushes
+// nothing, and its barriers must cost exactly off's messages and
+// bytes: nothing about the push protocol rides the barrier messages.
+double own_page_rewrites(runner::ChildContext& c) {
+  tmk::Runtime rt(c);
+  auto* data = rt.alloc<std::int32_t>(1024 * rt.nprocs());  // a page each
+  for (int round = 0; round < 8; ++round) {
+    data[1024 * rt.rank() + round] = round + 1;
+    rt.barrier();
+  }
+  return 0.0;
+}
+
+TEST(UpdateMode, IdlePredictorSendsTheOffBytes) {
+  const auto off = run_controlled(tmk::UpdateMode::kOff, 4, own_page_rewrites);
+  const auto hybrid =
+      run_controlled(tmk::UpdateMode::kHybrid, 4, own_page_rewrites);
+  const auto tmk_l = static_cast<std::size_t>(mpl::Layer::kTmk);
+  EXPECT_EQ(hybrid.total.messages[tmk_l], off.total.messages[tmk_l]);
+  EXPECT_EQ(hybrid.total.bytes[tmk_l], off.total.bytes[tmk_l]);
+  EXPECT_EQ(hybrid.ctr(runner::ctr::Id::kDiffPush), 0u);
 }
 
 // ---- registry workloads: traffic strictly drops at scale -------------
