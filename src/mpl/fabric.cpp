@@ -107,30 +107,6 @@ void Endpoint::fail_wait(const char* reason, int dead_rank,
   throw common::Error(err.str());
 }
 
-Endpoint::~Endpoint() {
-  // A rank unwinding mid-burst (an exception between begin_burst and
-  // flush_burst) must not leave frames invisible to its peers — they
-  // would block on the dead rank forever instead of observing its
-  // failure.
-  flush_burst();
-}
-
-void Endpoint::begin_burst(int dst) {
-  if (burst_dst_ == dst) return;
-  flush_burst();
-  burst_dst_ = dst;
-}
-
-void Endpoint::flush_burst() noexcept {
-  if (burst_dst_ < 0) return;
-  for (int lane = 0; lane < 2; ++lane) {
-    if (!burst_lane_used_[lane]) continue;
-    transport_.flush_burst(static_cast<Lane>(lane), burst_dst_);
-    burst_lane_used_[lane] = false;
-  }
-  burst_dst_ = -1;
-}
-
 void Endpoint::count_if_remote(int dst, FrameKind kind,
                                std::size_t bytes) noexcept {
   if (dst != rank_) counters_.count(kind, bytes);
@@ -144,26 +120,6 @@ void Endpoint::send_chunks(Lane lane, int dst, bool pump_while_blocked,
   // The payload bytes travel straight from the caller's buffer (often
   // the shared page image itself) into the transport; no staging copy.
   const std::size_t total = payload.size();
-  // Burst integration. Only the main thread (pump_while_blocked) has
-  // explicit per-peer bursts; a send to a DIFFERENT peer is an
-  // operation boundary that flushes the open one. Independent of the
-  // explicit API, a multi-chunk message always batches its own chunks
-  // into one transport publish — a 56 KiB-chunked diff reply costs one
-  // doorbell, not one per chunk. Single-chunk messages outside a burst
-  // keep the zero-copy direct path.
-  const bool in_explicit_burst = pump_while_blocked && burst_dst_ == dst;
-  if (pump_while_blocked && burst_dst_ >= 0 && dst != burst_dst_)
-    flush_burst();
-  bool own_burst = false;
-  if (in_explicit_burst) {
-    if (!burst_lane_used_[static_cast<int>(lane)]) {
-      transport_.begin_burst(lane, dst);
-      burst_lane_used_[static_cast<int>(lane)] = true;
-    }
-  } else if (total > kMaxChunk) {
-    transport_.begin_burst(lane, dst);
-    own_burst = true;
-  }
   std::size_t offset = 0;
   std::uint64_t blocked_since = 0;
   do {
@@ -196,7 +152,6 @@ void Endpoint::send_chunks(Lane lane, int dst, bool pump_while_blocked,
     }
     offset += len;
   } while (offset < total);
-  if (own_burst) transport_.flush_burst(lane, dst);
 }
 
 void Endpoint::send_app(int dst, FrameKind kind, std::int32_t tag,
@@ -322,9 +277,6 @@ void Endpoint::recycle_svc_buffer(std::vector<std::byte>&& buf) {
 }
 
 Frame Endpoint::wait_app(FramePredicate pred) {
-  // Operation boundary: anything batched must reach its peer before we
-  // block — the frame we are about to wait for may be its reply.
-  flush_burst();
   // Fold real application compute before any transport work; everything
   // between here and the matching frame is waiting/draining, which
   // on_recv discards in favour of the modelled costs.
@@ -336,7 +288,6 @@ Frame Endpoint::wait_app(FramePredicate pred) {
 }
 
 std::optional<Frame> Endpoint::poll_app(FramePredicate pred) {
-  flush_burst();
   clock_.fold_compute();
   if (std::optional<Frame> f = take_pending(pred)) return f;
   drain_app(/*block=*/false);

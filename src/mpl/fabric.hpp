@@ -74,11 +74,6 @@ class Endpoint {
   /// fabric must outlive the endpoint.
   Endpoint(const Fabric& fabric, int rank, simx::MachineModel model);
 
-  /// Flushes any burst left open (so no frame is ever stranded in the
-  /// transport — a rank unwinding mid-burst must not hang its peers),
-  /// then releases the transport view.
-  ~Endpoint();
-
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
@@ -97,30 +92,11 @@ class Endpoint {
     return transport_.host_stats();
   }
 
-  // ---- per-peer send bursts (main thread) ----
-  //
-  // A multi-frame operation toward one peer can be handed to the
-  // transport as ONE unit (a single message already is one, however
-  // many chunks it spans):
-  //
-  //   ep.begin_burst(dst);
-  //   ep.send_app(...); ep.send_svc(...);   // frames are batched
-  //   ep.flush_burst();                      // one publish, one doorbell
-  //
-  // Bursts change HOST cost only: modelled clocks and counters are
-  // charged per logical message exactly as without bursting. The burst
-  // is auto-flushed at every operation boundary that could block on a
-  // peer (wait_app, a send to a different destination, destruction), so
-  // forgetting flush_burst() affects batching, never correctness.
-
-  /// Opens (or switches) the current send burst toward `dst`.
-  void begin_burst(int dst);
-
-  /// Publishes every batched frame and closes the burst. No-op when no
-  /// burst is open.
-  void flush_burst() noexcept;
-
   // ---- main-thread send paths ----
+  //
+  // Every send hands its message to the transport whole: the message is
+  // visible to `dst` when the call returns, and it costs the host one
+  // publish however many chunks it spans (transport.hpp).
 
   /// Sends a logical message to `dst`'s main thread. Charges the virtual
   /// clock and the message counters. Pumps incoming app traffic if the
@@ -175,9 +151,6 @@ class Endpoint {
   /// a frame published before a send that causally precedes a frame
   /// this rank already received is always found.
   std::optional<Frame> poll_app(FramePredicate pred);
-
-  /// Non-blocking drain of app channels into the pending queue.
-  void pump();
 
   /// Returns a consumed frame's payload buffer to the receive pool, so
   /// steady-state traffic recycles capacity instead of re-allocating.
@@ -305,6 +278,10 @@ class Endpoint {
   // If `block`, waits until at least one frame completes.
   void drain_app(bool block);
 
+  // Non-blocking drain of app channels into the pending queue: what a
+  // main-thread send does while its channel is full.
+  void pump();
+
   // Removes and returns the first pending frame matching `pred`, charging
   // the virtual clock for its receive.
   std::optional<Frame> take_pending(FramePredicate pred);
@@ -341,13 +318,6 @@ class Endpoint {
   Counters measure_counters_start_{};
   Counters measure_counters_end_{};
   bool measure_ended_ = false;
-
-  // Burst state (main thread only; the service thread's sends batch at
-  // most within one send_chunks call). burst_lane_used_ tracks which
-  // transport lanes the open burst has touched, so flush only visits
-  // those.
-  int burst_dst_ = -1;
-  bool burst_lane_used_[2] = {false, false};
 
   // Failure-handling state (main thread only, except the forensics
   // writer pointer which is set once before the service thread starts).

@@ -120,10 +120,10 @@ class SpscRing {
   }
 
   /// Writes one datagram into the ring WITHOUT making it visible to the
-  /// consumer: the tail store is deferred until publish(). A burst of
+  /// consumer: the tail store is deferred until publish(). A run of
   /// stage() calls followed by one publish() hands the consumer the
-  /// whole burst with a single release store — and lets the transport
-  /// ring its doorbell once per burst instead of once per datagram.
+  /// whole run with a single release store — which is how the transport
+  /// rings its doorbell once per message instead of once per chunk.
   /// False when the ring lacks space for this record (anything already
   /// staged stays staged; the caller decides whether to publish it).
   bool stage(const FrameHeader& h, std::span<const std::byte> chunk) noexcept {

@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <climits>
-#include <cstdio>
 #include <ostream>
 
 #include "common/check.hpp"
@@ -82,7 +80,7 @@ static_assert(sizeof(RegionHeader) <= kAlign);
 // Receive-side wait bounds (doorbell re-checks before advertising a
 // sleeper). While a receiver re-checks it does NOT advertise `waiters`,
 // so the matching senders skip FUTEX_WAKE entirely — the bulk of the
-// burst path's syscall saving. The first kSpinPause re-checks are pause
+// send path's syscall saving. The first kSpinPause re-checks are pause
 // spins (they catch a publish already in flight on another core); the
 // rest are sched_yield re-checks, which is what matters with more rank
 // threads than cores: the receiver hands its timeslice to the sender
@@ -258,28 +256,6 @@ Transport::Transport(void* region, int nprocs, int rank, TransportKind kind)
   }
 }
 
-Transport::~Transport() {
-  // Teardown contract: the Endpoint flushes every open burst before the
-  // transport dies, so nothing should be staged here. If a caller
-  // bypassed that, publish anyway — a stranded record would wedge the
-  // peer's receive forever, which is strictly worse than delivering
-  // late — and complain loudly so the bug is visible.
-  for (int slot = 0; slot < 2; ++slot) {
-    for (int lane = 0; lane < 2; ++lane) {
-      const int dst = burst_dst_[slot][lane];
-      if (dst < 0) continue;
-      if (out_ring(static_cast<Lane>(lane), slot, dst).has_staged()) {
-        std::fprintf(stderr,
-                     "mpl: rank %d tore down with frames staged toward "
-                     "rank %d (unflushed burst) — publishing them\n",
-                     rank_, dst);
-        publish_staged(static_cast<Lane>(lane), slot, dst);
-        assert(false && "transport destroyed with an unflushed burst");
-      }
-    }
-  }
-}
-
 int Transport::sender_slot() const noexcept {
   // Slot 0 is the thread that built the endpoint (the main thread);
   // anything else — there is exactly one, the service thread — uses
@@ -347,37 +323,14 @@ bool Transport::try_send(Lane lane, int dst, const FrameHeader& h,
 
 bool Transport::push(Lane lane, int dst, const FrameHeader& h,
                      std::span<const std::byte> chunk) {
+  // The one publish rule (see the header). A full ring publishes what
+  // IS staged so the consumer can drain it — otherwise neither side
+  // could make progress — then reports backpressure for the retry.
   const int slot = sender_slot();
-  SpscRing& ring = out_ring(lane, slot, dst);
-  if (burst_dst_[slot][static_cast<int>(lane)] == dst) {
-    // Mid-burst: stage without a tail store or doorbell. If the ring is
-    // full, publish what IS staged (and ring once) so the consumer can
-    // drain it — otherwise neither side could make progress — then
-    // report backpressure; the burst stays open for the retry.
-    if (ring.stage(h, chunk)) return true;
+  const bool staged = out_ring(lane, slot, dst).stage(h, chunk);
+  if (!staged || h.offset + h.chunk_len == h.orig_len)
     publish_staged(lane, slot, dst);
-    return false;
-  }
-  if (!ring.try_push(h, chunk)) return false;
-  announce_ring(lane, slot, dst);
-  ring_doorbell(dst, lane);
-  return true;
-}
-
-void Transport::begin_burst(Lane lane, int dst) noexcept {
-  const int slot = sender_slot();
-  int& cur = burst_dst_[slot][static_cast<int>(lane)];
-  if (cur == dst) return;
-  if (cur >= 0) publish_staged(lane, slot, cur);
-  cur = dst;
-}
-
-void Transport::flush_burst(Lane lane, int dst) noexcept {
-  const int slot = sender_slot();
-  int& cur = burst_dst_[slot][static_cast<int>(lane)];
-  if (cur != dst) return;
-  publish_staged(lane, slot, dst);
-  cur = -1;
+  return staged;
 }
 
 HostStats Transport::host_stats() const noexcept {

@@ -21,6 +21,12 @@
 //               Epiphany mailbox DSM demonstrates and the reason the
 //               modelled high-rank sweeps are affordable.
 //
+// One publish rule: a sent chunk is staged in its ring, and the chunk
+// that ends its message publishes everything staged (one release store
+// of the ring's tail, one doorbell bump). A message is therefore one
+// publish however many chunks it spans; a full ring publishes what is
+// staged early, so the receiver can drain it and make room.
+//
 // Delivery contract (what the Endpoint's reassembly relies on):
 // datagrams are never corrupted, duplicated, or dropped, and datagrams
 // pushed by ONE sending thread toward one (destination, lane) arrive
@@ -83,8 +89,8 @@ static_assert(kShmRingBytes >= SpscRing::min_capacity(kMaxChunk));
 /// cost this rank), never modelled quantities: the modelled
 /// message/byte counters and virtual times live in the Endpoint.
 struct HostStats {
-  /// Datagram publishes toward peers (doorbell bumps). A burst of N
-  /// frames costs 1, not N.
+  /// Publishes toward peers (doorbell bumps): one per message, however
+  /// many chunks it spans, plus one per ring-full spill.
   std::uint64_t send_calls = 0;
   /// FUTEX_WAKE syscalls actually issued by send-side doorbells.
   std::uint64_t futex_wakes = 0;
@@ -163,18 +169,19 @@ class Transport {
   /// mesh) for `rank`. Must run on the rank's main thread: the sending
   /// slot of every later send is keyed off the constructing thread.
   Transport(void* region, int nprocs, int rank, TransportKind kind);
-  ~Transport();
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
   [[nodiscard]] TransportKind kind() const noexcept { return kind_; }
 
   /// Attempts to enqueue one datagram (header + chunk) toward `dst`'s
-  /// `lane`. Returns false when the channel is full — the caller may
-  /// pump its own inbound traffic and retry (the Endpoint's
-  /// deadlock-freedom discipline). Drives the fault plan; once this
-  /// rank's fault fired, the datagram is silently dropped (reported as
-  /// sent) so the dying rank unwinds instead of wedging in a send.
+  /// `lane`, publishing it (and the message's earlier chunks) when `h`
+  /// ends its message. Returns false when the channel is full, after
+  /// publishing what is staged — the caller may pump its own inbound
+  /// traffic and retry (the Endpoint's deadlock-freedom discipline).
+  /// Drives the fault plan; once this rank's fault fired, the datagram
+  /// is silently dropped (reported as sent) so the dying rank unwinds
+  /// instead of wedging in a send.
   bool try_send(Lane lane, int dst, const FrameHeader& h,
                 std::span<const std::byte> chunk);
 
@@ -204,24 +211,6 @@ class Transport {
   /// Wakes a wait_recv(Lane::kSvc) blocked in the service thread (used
   /// for shutdown). Callable from the main thread.
   void wake_service() noexcept;
-
-  // ---- bursts ----
-  //
-  // A burst groups consecutive try_sends from ONE thread toward ONE
-  // (lane, dst) so they publish as a unit: the ring stages the records
-  // and rings the doorbell once at flush. Between begin_burst and
-  // flush_burst the frames may be invisible to the receiver, so callers
-  // MUST flush before blocking on anything a peer could be waiting to
-  // answer — the Endpoint enforces this at its operation boundaries.
-
-  /// Opens (or continues) a burst from the calling thread toward
-  /// (lane, dst). Switching targets publishes the previous burst.
-  void begin_burst(Lane lane, int dst) noexcept;
-
-  /// Publishes everything staged by the current burst toward (lane,
-  /// dst) and closes it. A ring publish never back-pressures: a full
-  /// ring already made try_send publish and report false.
-  void flush_burst(Lane lane, int dst) noexcept;
 
   /// Host-side cost counters accumulated by this view (see HostStats).
   [[nodiscard]] HostStats host_stats() const noexcept;
@@ -296,12 +285,6 @@ class Transport {
   // every send. Slot 0 is only touched by the main thread, slot 1 only
   // by the service thread.
   std::vector<std::uint8_t> announced_[2][2];
-  // Open-burst destination per [slot][lane] (-1 = none). While a burst
-  // is open, try_sends toward it stage into the ring without a tail
-  // store or doorbell; flush_burst publishes the whole batch with one
-  // release store and one doorbell bump. Each slot is owned by its
-  // single sending thread.
-  int burst_dst_[2][2] = {{-1, -1}, {-1, -1}};
   // Receive-side spin budget per lane before the futex sleep. It
   // adapts: a wait satisfied while spinning grows it, a wait that had
   // to sleep anyway shrinks it, so oversubscribed hosts (more rank

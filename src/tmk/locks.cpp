@@ -128,12 +128,10 @@ void Runtime::send_lock_grant(int lock_id, ProcId requester,
     ep_.send_app_stamped(requester, mpl::FrameKind::kLockGrant, lock_id, 0,
                          w.bytes(), arrival);
   } else {
-    // Grant plus piggybacked write notices as one burst toward the
+    // Grant plus piggybacked write notices as one message to the
     // successor — the "combined synchronization and data transfer" unit.
-    ep_.begin_burst(requester);
     ep_.send_app(requester, mpl::FrameKind::kLockGrant, lock_id, 0,
                  w.bytes());
-    ep_.flush_burst();
   }
 }
 

@@ -21,6 +21,12 @@
 #include "common/check.hpp"
 #include "common/env.hpp"
 
+#if defined(__SANITIZE_THREAD__)
+// Exported by libtsan; no installed sanitizer header declares them.
+extern "C" void __tsan_ignore_thread_begin();
+extern "C" void __tsan_ignore_thread_end();
+#endif
+
 namespace tmk {
 
 namespace {
@@ -29,6 +35,15 @@ namespace {
 // it, which the SIGSEGV handler hands this thread's faults to.
 // Thread-local, so every rank thread resolves to its own.
 thread_local Runtime* t_runtime = nullptr;
+
+/// Hides the calling thread's memory accesses from ThreadSanitizer for
+/// its lifetime; an empty object in every other build.
+struct TsanIgnoreScope {
+#if defined(__SANITIZE_THREAD__)
+  TsanIgnoreScope() noexcept { __tsan_ignore_thread_begin(); }
+  ~TsanIgnoreScope() { __tsan_ignore_thread_end(); }
+#endif
+};
 
 }  // namespace
 
@@ -340,16 +355,26 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
     if (flush_snapshot_ == nullptr)
       flush_snapshot_ =
           std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
-    if (pm.state == PageState::kInvalid)
-      read_protected_page(page, flush_snapshot_.get());
-    else
-      std::memcpy(flush_snapshot_.get(), page_ptr(page), common::kPageSize);
     image = flush_snapshot_.get();
     if (pm.dirty) cost += model.twin_ns;
   }
-  // Encode into the reusable worst-case-sized scratch (no allocation
-  // after warm-up), then store one exact-size immutable blob.
-  make_diff_into(px.twin.get(), image, diff_scratch_);
+  {
+    // The page reads race with application stores by design: the
+    // snapshot of a dirty page, and the in-place scan of a clean one.
+    // A store that faults on a clean PROT_READ page waits on mu_ in the
+    // SIGSEGV handler until this flush is done, but TSan records the
+    // store before it runs, so it would report the scan as concurrent
+    // with it. The reads are therefore hidden from TSan; everything
+    // else this function touches stays checked.
+    [[maybe_unused]] TsanIgnoreScope page_reads;
+    if (pm.state == PageState::kInvalid)
+      read_protected_page(page, flush_snapshot_.get());
+    else if (pm.dirty)
+      std::memcpy(flush_snapshot_.get(), page_ptr(page), common::kPageSize);
+    // Encode into the reusable worst-case-sized scratch (no allocation
+    // after warm-up), then store one exact-size immutable blob.
+    make_diff_into(px.twin.get(), image, diff_scratch_);
+  }
   auto diff = std::make_shared<std::vector<std::byte>>(diff_scratch_.begin(),
                                                        diff_scratch_.end());
   ++ctrs_[Ctr::kDiffsCreated];
@@ -538,9 +563,9 @@ void Runtime::read_intervals(ByteReader& r) {
 // free against each incoming write notice, at the one choke point all
 // notices pass through (integrate_interval). Everything below runs on
 // the main thread with mu_ held — detection never reads pages from the
-// service thread, which is what suppresses the deliberate lazy-diffing
-// race (tsan.supp: the flush snapshot vs. open-interval writes) by
-// construction rather than by annotation.
+// service thread, so it adds no read to the deliberate lazy-diffing
+// race (the flush's page reads vs. open-interval writes, which
+// flush_page_diff hides from TSan) and needs no annotation of its own.
 // ---------------------------------------------------------------------
 
 void Runtime::race_check_incoming(const IntervalMeta& m) {
@@ -770,16 +795,13 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       w.put<Seq>(n.seq);
     }
     const std::uint32_t req_id = next_req_id_++;
-    // One request frame per creator for its whole fetch_needs_ set,
-    // handed to the transport as one burst unit.
-    ep_.begin_burst(p);
+    // One request frame per creator for its whole fetch_needs_ set.
     ep_.send_svc(p, mpl::FrameKind::kDiffRequest, learn ? 0 : 1, req_id,
                  w.bytes());
     fetch_outstanding_.push_back(
         FetchOutstanding{static_cast<ProcId>(p), req_id});
     ++ctrs_[Ctr::kDiffRequests];
   }
-  ep_.flush_burst();
 
   // Collect replies; stage diffs as zero-copy views into the reply
   // payloads, which stay alive in fetch_replies_ until applied.

@@ -296,6 +296,36 @@ TEST_P(EndpointTest, CountersCountLogicalMessagesOnce) {
   EXPECT_EQ(result.procs[1].counters.messages[other], 0u);  // recv free
 }
 
+// One message is one publish (one release store, one doorbell bump),
+// however many chunks it spans: a two-chunk message that fits an empty
+// ring and a one-chunk message each raise the sender's send_calls by
+// exactly 1. Each message is answered before the next one leaves, so
+// rank 0's own sends are the only ones it counts. Rank 0 returns the
+// two increments as the tens and units digits of its checksum.
+TEST_P(EndpointTest, EachMessageIsOnePublish) {
+  auto result = runner::spawn(2, popts(), [](runner::ChildContext& c) {
+    auto& ep = c.endpoint;
+    const std::size_t sizes[] = {mpl::kMaxChunk + 1, 64};
+    double digits = 0;
+    for (const std::size_t n : sizes) {
+      if (ep.rank() == 0) {
+        const std::uint64_t before = ep.host_stats().send_calls;
+        ep.send_app(1, mpl::FrameKind::kTestPing, 0, 1, make_payload(n, 11));
+        digits = digits * 10 +
+                 static_cast<double>(ep.host_stats().send_calls - before);
+        (void)ep.wait_app_kind(mpl::FrameKind::kTestPong);
+      } else {
+        const auto f = ep.wait_app_kind(mpl::FrameKind::kTestPing);
+        if (f.payload.size() != n) return 0.0;
+        ep.send_app(0, mpl::FrameKind::kTestPong, 0, 1, {});
+      }
+    }
+    return ep.rank() == 0 ? digits : 1.0;
+  });
+  EXPECT_DOUBLE_EQ(result.procs[0].checksum, 11.0);
+  EXPECT_DOUBLE_EQ(result.procs[1].checksum, 1.0);
+}
+
 TEST_P(EndpointTest, SelfMessagesUncounted) {
   auto result = runner::spawn(1, popts(), [](runner::ChildContext& c) {
     auto& ep = c.endpoint;

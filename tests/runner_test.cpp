@@ -289,37 +289,6 @@ TEST(RunnerThread, ProcessBackendRejectsInprocTransport) {
       common::Error);
 }
 
-// A rank that unwinds with a send burst still open must not strand the
-// staged frames: the Endpoint destructor flushes them, so the peer
-// waiting on the burst's message completes, and spawn fails loudly with
-// the unwinding rank's error — promptly, not via the watchdog.
-TEST(RunnerThread, RankExitingMidBurstFlushesAndFailsLoudly) {
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    runner::spawn(2, thread_options(), [](runner::ChildContext& c) -> double {
-      if (c.endpoint.rank() == 1) {
-        c.endpoint.begin_burst(0);
-        c.endpoint.send_app(0, mpl::FrameKind::kTestPing, 0, 0, {});
-        // No flush_burst(): unwind with the frame still staged.
-        throw common::Error("deliberate mid-burst exit");
-      }
-      // Rank 0 blocks on the staged frame; only the destructor flush of
-      // rank 1's endpoint can deliver it.
-      (void)c.endpoint.wait_app_kind(mpl::FrameKind::kTestPing);
-      return 1.0;
-    });
-    FAIL() << "spawn should have thrown";
-  } catch (const common::Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("deliberate mid-burst exit"), std::string::npos) << msg;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_LT(elapsed, 30.0) << "peers hung on the stranded burst";
-}
-
 TEST(RunnerThread, SequentialHelperWorksOnThreads) {
   auto r = runner::run_sequential(thread_options(), [] {
     volatile double x = 0;
