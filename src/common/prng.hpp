@@ -11,8 +11,8 @@
 namespace common {
 
 /// splitmix64's finalizer: a full-avalanche 64-bit mix, shared by the
-/// PRNG below and the hash containers (FlatSet64, the fabric's
-/// reassembly map) so the constants live in exactly one place.
+/// PRNG below and the store schedules of the epoch-soak and race-stress
+/// workloads, so the constants live in exactly one place.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

@@ -180,56 +180,6 @@ void apply_diff(std::span<const std::byte> diff, std::byte* target) {
   }
 }
 
-void DiffMerger::absorb(std::span<const std::byte> diff) {
-  std::size_t pos = 0;
-  while (pos < diff.size()) {
-    COMMON_CHECK_MSG(pos + sizeof(RunHeader) <= diff.size(),
-                     "truncated diff run header");
-    RunHeader h;
-    std::memcpy(&h, diff.data() + pos, sizeof(h));
-    pos += sizeof(h);
-    const std::size_t bytes = static_cast<std::size_t>(h.len_words) * kDiffWord;
-    COMMON_CHECK_MSG(h.offset_words + h.len_words <= kWordsPerPage,
-                     "diff run exceeds page");
-    COMMON_CHECK_MSG(pos + bytes <= diff.size(), "truncated diff payload");
-    std::memcpy(page_ + static_cast<std::size_t>(h.offset_words) * kDiffWord,
-                diff.data() + pos, bytes);
-    for (std::uint32_t w = h.offset_words; w < h.offset_words + h.len_words;
-         ++w)
-      present_[w / 64] |= std::uint64_t{1} << (w % 64);
-    pos += bytes;
-  }
-}
-
-void DiffMerger::encode_into(std::vector<std::byte>& out) const {
-  out.clear();
-  if (out.capacity() < kMaxDiffBytes) out.reserve(kMaxDiffBytes);
-  std::uint32_t w = 0;
-  while (w < kWordsPerPage) {
-    if (present_[w / 64] == 0) {  // skip empty 64-word spans wholesale
-      w = (w / 64 + 1) * 64;
-      continue;
-    }
-    if ((present_[w / 64] & (std::uint64_t{1} << (w % 64))) == 0) {
-      ++w;
-      continue;
-    }
-    const std::uint32_t start = w;
-    while (w < kWordsPerPage &&
-           (present_[w / 64] & (std::uint64_t{1} << (w % 64))) != 0)
-      ++w;
-    RunHeader h;
-    h.offset_words = static_cast<std::uint16_t>(start);
-    h.len_words = static_cast<std::uint16_t>(w - start);
-    const std::size_t old = out.size();
-    const std::size_t bytes = static_cast<std::size_t>(h.len_words) * kDiffWord;
-    out.resize(old + sizeof(h) + bytes);
-    std::memcpy(out.data() + old, &h, sizeof(h));
-    std::memcpy(out.data() + old + sizeof(h),
-                page_ + static_cast<std::size_t>(start) * kDiffWord, bytes);
-  }
-}
-
 std::size_t diff_payload_bytes(std::span<const std::byte> diff) {
   std::size_t pos = 0;
   std::size_t total = 0;

@@ -18,7 +18,6 @@
 // allocation at all.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -68,26 +67,5 @@ void apply_diff(std::span<const std::byte> diff, std::byte* target);
 
 /// Number of payload bytes a diff would modify (for stats/tests).
 [[nodiscard]] std::size_t diff_payload_bytes(std::span<const std::byte> diff);
-
-/// Flattens a chain of diffs of ONE page into a single coalesced diff.
-/// Diffs are absorbed oldest-first; where runs overlap, the payload
-/// absorbed last wins — the same later-writer-wins semantics a receiver
-/// gets by applying the chain in order. Holds a page image plus a
-/// present-word bitmap, so a Runtime can keep one as reusable scratch.
-class DiffMerger {
- public:
-  void reset() noexcept { present_.fill(0); }
-
-  /// Absorbs one encoded diff (overwrites overlapping earlier words).
-  void absorb(std::span<const std::byte> diff);
-
-  /// Re-encodes the union of absorbed runs into `out` (cleared first).
-  void encode_into(std::vector<std::byte>& out) const;
-
- private:
-  static constexpr std::size_t kBitmapWords = kWordsPerPage / 64;
-  alignas(8) std::byte page_[common::kPageSize];
-  std::array<std::uint64_t, kBitmapWords> present_{};
-};
 
 }  // namespace tmk

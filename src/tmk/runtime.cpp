@@ -68,8 +68,6 @@ Runtime::Runtime(runner::ChildContext& ctx)
   COMMON_CHECK((reinterpret_cast<std::uintptr_t>(heap_) & common::kPageMask) ==
                0);
   num_pages_ = heap_len_ / common::kPageSize;
-  COMMON_CHECK_MSG(num_pages_ <= static_cast<std::size_t>(kPackMaxPage) + 1,
-                   "heap too large for packed write-notice keys");
   pages_.resize(num_pages_);
   page_ext_.resize(num_pages_);
   // Worst case every page dirtied in one interval: reserve once so the
@@ -263,8 +261,6 @@ void Runtime::close_interval() {
   if (dirty_pages_.empty()) return;
 
   const Seq seq = vc_.get(static_cast<ProcId>(rank_)) + 1;
-  COMMON_CHECK_MSG(seq <= kPackMaxSeq,
-                   "interval sequence overflows the packed key seq field");
   vc_.set(static_cast<ProcId>(rank_), seq);
 
   auto meta = std::make_unique<IntervalMeta>();
@@ -448,10 +444,8 @@ void Runtime::integrate_interval(ProcId creator, Seq seq,
     PageMeta& pm = pages_[page];
     PageExt& px = ext(page);
     px.notices.push_back(m);
-    if (preapplied_.erase(pack_preapplied(creator, seq, page))) {
-      // Already applied through a push/bcast; no invalidation needed.
-      continue;
-    }
+    // Its data already arrived with a fetched blob or a push.
+    if (px.take_applied_ahead(creator, seq)) continue;
     px.pending.push_back(m);
     if (pm.state != PageState::kInvalid) {
       pm.state = PageState::kInvalid;
@@ -459,15 +453,6 @@ void Runtime::integrate_interval(ProcId creator, Seq seq,
     }
   }
   mprotect_runs(prot_pages_, PROT_NONE);
-  // Coverage bookkeeping can pre-register pages this interval turned out
-  // not to touch; drop the leftovers now that the real page list is known.
-  if (!preapplied_.empty()) {
-    const std::uint64_t prefix =
-        preapplied_prefix(pack_preapplied(creator, seq, PageIndex{0}));
-    preapplied_.erase_if([prefix](std::uint64_t key) {
-      return preapplied_prefix(key) == prefix;
-    });
-  }
 }
 
 void Runtime::put_interval_record(ByteWriter& w,
@@ -822,22 +807,17 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
     const auto& known = intervals_[o.creator];
     std::span<const std::byte> prev_bytes;
     // Reply records echo the request order, so one page's records are
-    // consecutive; aggregate its requested/covered seqs on the fly. The
-    // blob bakes in the creator's writes up to `covered`; write notices
-    // for the gap (requested, covered] must not trigger a refetch later
-    // — the stale blob would clobber our own concurrent writes to other
-    // words of the page (false sharing).
+    // consecutive; track its highest covered seq on the fly. The blob
+    // bakes in the creator's writes to the page up to `covered`; write
+    // notices beyond what we have integrated must not trigger a refetch
+    // later — the stale blob would clobber our own concurrent writes to
+    // other words of the page (false sharing) — so they are marked as
+    // applied ahead.
     PageIndex cur_page = kNoPage;
     Seq max_covered = 0;
-    Seq max_requested = 0;
     const auto finish_page = [&] {
-      if (cur_page == kNoPage) return;
-      for (Seq s = max_requested + 1; s <= max_covered; ++s) {
-        // Integrated gap seqs did not touch this page (else they would
-        // have been pending, hence requested); skip them.
-        if (s <= known.hi()) continue;
-        preapplied_.insert(pack_preapplied(o.creator, s, cur_page));
-      }
+      if (cur_page != kNoPage && max_covered > known.hi())
+        ext(cur_page).mark_applied_ahead(o.creator, max_covered);
     };
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto page = r.get<PageIndex>();
@@ -860,10 +840,8 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
         finish_page();
         cur_page = page;
         max_covered = 0;
-        max_requested = 0;
       }
       max_covered = std::max(max_covered, covered);
-      max_requested = std::max(max_requested, seq);
     }
     finish_page();
     fetch_replies_.push_back(std::move(f));  // keep the spans alive
@@ -916,6 +894,10 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
     PageExt& px = ext(page);
     COMMON_CHECK_MSG(j - i == px.pending.size(),
                      "pending set changed under fetch for page " << page);
+    // Our own writes are diffed before remote ones land (TreadMarks'
+    // rule): a blob spanning the apply would carry the remote words too
+    // and, applied at its first interval's place, undo newer writes.
+    if (!px.unflushed.empty()) ep_.clock().add_model(flush_page_diff(page));
     for (std::size_t k = i; k < j; ++k) {
       const FetchedDiff& fd = fetch_staged_[k];
       // Entries sharing one flush blob are applied (and charged) once.
@@ -923,9 +905,9 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       ep_.clock().add_model(
           ep_.clock().model().diff_apply_cost(fd.blob.size()));
       apply_diff(fd.blob, page_ptr(page));
-      // Keep the twin in sync (TreadMarks applies incoming diffs to both
-      // copies): otherwise our next flush would re-export other writers'
-      // words at stale values and clobber their newer updates.
+      // A twin left after the flush belongs to the open interval: the
+      // diff goes to both copies, so the next flush exports our words
+      // only.
       if (px.twin != nullptr) apply_diff(fd.blob, px.twin.get());
     }
     px.pending.clear();
@@ -1256,9 +1238,7 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
   // the previous round; account them as waste exactly like stashes
   // still unconsumed at shutdown.
   for (auto it = push_stash_.begin(); it != push_stash_.end();) {
-    const auto creator = static_cast<ProcId>(
-        it->first & ((std::uint64_t{1} << kPackCreatorBits) - 1));
-    if (it->second.hi <= horizon.get(creator)) {
+    if (it->second.hi <= horizon.get(stash_creator(it->first))) {
       ++ctrs_[Ctr::kPushWaste];
       it = push_stash_.erase(it);
     } else {
@@ -1293,8 +1273,9 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
     // hints persist (the application declared them once, for the whole
     // run), so a hinted page keeps its slot.
     if (px.twin == nullptr && px.pending.empty() && px.notices.empty() &&
-        px.unflushed.empty() && px.race_reads.empty() &&
-        !px.hint_consumers.any() && !px.adaptive_consumers.any())
+        px.unflushed.empty() && px.applied_ahead.empty() &&
+        px.race_reads.empty() && !px.hint_consumers.any() &&
+        !px.adaptive_consumers.any())
       slot.reset();
   }
 }
@@ -1324,6 +1305,7 @@ std::uint64_t Runtime::protocol_rss_bytes_locked() const {
     total += e->pending.capacity() * sizeof(const IntervalMeta*);
     total += e->notices.capacity() * sizeof(const IntervalMeta*);
     total += e->unflushed.capacity() * sizeof(Seq);
+    total += e->applied_ahead.capacity() * sizeof(IntervalKey);
     total += e->race_reads.capacity() * sizeof(PageExt::ReadRec);
     if (e->twin != nullptr) total += common::kPageSize;
   }
@@ -1332,7 +1314,6 @@ std::uint64_t Runtime::protocol_rss_bytes_locked() const {
     if (stash.blob != nullptr) total += stash.blob->capacity();
   }
   total += race_reports_.size() * sizeof(RaceReport);
-  total += preapplied_.size() * sizeof(std::uint64_t);
   return total;
 }
 
@@ -1362,8 +1343,8 @@ Runtime::MemStats Runtime::mem_stats() const {
 // push. The paper's premise is that the compiler KNOWS the access
 // pattern; hint_consumers feeds that knowledge in, the adaptive
 // predictor learns it from observed diff requests, and each rank's
-// barrier entry pushes each page's flattened diff chain to the
-// predicted consumers, to be applied once the barrier departs —
+// barrier entry pushes each page's flush blob to the predicted
+// consumers, to be applied once the barrier departs —
 // replacing a SIGSEGV fault plus a kDiffRequest/kDiffReply round trip
 // per page per consumer with one pushed frame per peer.
 // ---------------------------------------------------------------------
@@ -1417,45 +1398,29 @@ void Runtime::send_pushes() {
   {
     std::lock_guard<std::mutex> g(mu_);
     build_push_plan();
-    const auto& m = ep_.clock().model();
     for (PushPlanEntry& e : push_plan_) {
       PageExt& px = ext(e.page);
       // The newest covered intervals are usually still lazy; flush them
-      // so the chain is materialized (and pull requests for the same
-      // seqs will serve the identical blobs).
+      // (pull requests for the same seqs then serve the identical blob).
       if (!px.unflushed.empty())
         ep_.clock().add_model(flush_page_diff(e.page));
-      // Gather the distinct flush blobs covering (lo, hi], oldest
-      // first. One blob is the common case (one flush generation since
-      // the last barrier); several arise when the page was flushed
-      // mid-span (a reader pulled between barriers) — the chain that
-      // used to ship as multiple overlapping diffs.
-      std::vector<std::shared_ptr<std::vector<std::byte>>> chain;
-      for (Seq s = e.lo + 1; s <= e.hi; ++s) {
-        const auto it = diffs_.find(diff_key(e.page, s));
-        if (it == diffs_.end()) continue;  // seq missed this page
-        if (!chain.empty() && chain.back() == it->second.blob) continue;
-        chain.push_back(it->second.blob);
-      }
-      COMMON_CHECK_MSG(!chain.empty(),
+      const auto newest = diffs_.find(diff_key(e.page, e.hi));
+      COMMON_CHECK_MSG(newest != diffs_.end(),
                        "no diff for planned push of page " << e.page);
-      if (chain.size() == 1) {
-        e.blob = chain.front();
-      } else {
-        // Diff-chain flattening: absorb oldest -> newest (later wins,
-        // the receiver-order semantics) and re-encode one coalesced
-        // diff — one apply pass instead of chain.size() overlapping
-        // ones, and strictly fewer bytes on the wire.
-        diff_merger_.reset();
-        for (const auto& b : chain) {
-          diff_merger_.absorb(*b);
-          ep_.clock().add_model(m.diff_apply_cost(b->size()));
-        }
-        auto out = std::make_shared<std::vector<std::byte>>();
-        diff_merger_.encode_into(*out);
-        e.blob = std::move(out);
+      // A receiver applies the pushed blob at hi's place. That is right
+      // only if the blob is the span's one flush blob: a page flushed
+      // mid-span (a reader pulled between barriers) has an older blob
+      // that must apply at its own, earlier place, so the page is left
+      // to the pull path.
+      bool one_blob = true;
+      for (Seq s = e.lo + 1; s < e.hi && one_blob; ++s) {
+        const auto it = diffs_.find(diff_key(e.page, s));
+        one_blob = it == diffs_.end() || it->second.blob == newest->second.blob;
       }
+      if (one_blob) e.blob = newest->second.blob;
     }
+    std::erase_if(push_plan_,
+                  [](const PushPlanEntry& e) { return e.blob == nullptr; });
   }
   // One frame per destination (blobs are immutable; no lock needed):
   // the creator is implicit in the frame's src, the barrier in its tag.
@@ -1597,13 +1562,13 @@ void Runtime::collect_pushes() {
     PageMeta& pm = pages_[page];
     PageExt& px = ext(page);
     const bool dirty = pm.dirty;
+    // Own writes are diffed before remote ones land, as in the pull path.
+    if (!px.unflushed.empty()) ep_.clock().add_model(flush_page_diff(page));
     mprotect_page(page, PROT_READ | PROT_WRITE);
     for (std::size_t k = i; k < j; ++k) {
       ep_.clock().add_model(
           ep_.clock().model().diff_apply_cost(recs[k].blob.size()));
       apply_diff(recs[k].blob, page_ptr(page));
-      // Twin stays in sync, exactly as in the pull path: our next flush
-      // must not re-export other writers' words at stale values.
       if (px.twin != nullptr) apply_diff(recs[k].blob, px.twin.get());
     }
     ctrs_[Ctr::kPushHits] += j - i;
@@ -1822,7 +1787,8 @@ void Runtime::accept_push(int src) {
     if (t.creator == rank_) continue;
     PageExt& px = ext(t.page);
     // If the notice is already pending, the push satisfied it; otherwise
-    // remember it so the future notice does not invalidate the page.
+    // mark it applied ahead so the future notice does not invalidate the
+    // page.
     auto it = std::find_if(px.pending.begin(), px.pending.end(),
                            [&t](const IntervalMeta* m) {
                              return m->id.creator == t.creator &&
@@ -1831,7 +1797,7 @@ void Runtime::accept_push(int src) {
     if (it != px.pending.end()) {
       px.pending.erase(it);
     } else if (t.seq > intervals_[t.creator].hi()) {
-      preapplied_.insert(pack_preapplied(t.creator, t.seq, t.page));
+      px.mark_applied_ahead(t.creator, t.seq);
     }
   }
   for (PageIndex p = first; p < first + npages; ++p) {

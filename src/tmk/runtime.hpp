@@ -28,6 +28,7 @@
 // strict rule that no thread blocks on the network while holding it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -42,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_hash.hpp"
 #include "mpl/fabric.hpp"
 #include "runner/runner.hpp"
 #include "tmk/config.hpp"  // UpdateMode / RaceCheckMode / Config
@@ -270,8 +270,33 @@ class Runtime {
     // lets push() enumerate covered write notices without a full scan.
     std::vector<const IntervalMeta*> notices;
     // My closed intervals whose diffs have not been created yet; they all
-    // share the flush-time diff.
+    // share the flush-time diff, so they are flushed before any remote
+    // diff lands on the page (one blob never carries another writer's
+    // words).
     std::vector<Seq> unflushed;
+    // Applied-ahead marks, at most one per creator: (c, s) means c's
+    // writes to this page through seq s are already here (a fetched
+    // flush blob covered them, or a push carried them) although notice
+    // s is not integrated yet. A notice from c at or below s leaves the
+    // page valid; notice s itself retires the mark.
+    std::vector<IntervalKey> applied_ahead;
+    void mark_applied_ahead(ProcId creator, Seq seq) {
+      for (IntervalKey& k : applied_ahead)
+        if (k.creator == creator) {
+          k.seq = std::max(k.seq, seq);
+          return;
+        }
+      applied_ahead.push_back({creator, seq});
+    }
+    // True when notice (creator, seq) finds its data already here.
+    bool take_applied_ahead(ProcId creator, Seq seq) {
+      for (auto it = applied_ahead.begin(); it != applied_ahead.end(); ++it) {
+        if (it->creator != creator || seq > it->seq) continue;
+        if (seq == it->seq) applied_ahead.erase(it);
+        return true;
+      }
+      return false;
+    }
     // ---- hybrid update protocol (mode != off only) ----
     // Predicted consumers: static decomposition hints and the learned
     // set of ranks whose diff requests touched this page. The adaptive
@@ -362,16 +387,21 @@ class Runtime {
   // Plan which pages go to which predicted consumers (caller holds mu_;
   // called right after close_interval at barrier entry).
   void build_push_plan();
-  // Barrier entry, before the arrival: plans, flattens each planned
-  // page's diff chain into one blob, and sends one kDiffPush frame per
-  // destination, tagged with barrier_seq_ (takes mu_).
+  // Barrier entry, before the arrival: plans, flushes each planned page,
+  // keeps the pages whose span (lo, hi] is one flush blob, and sends one
+  // kDiffPush frame per destination, tagged with barrier_seq_ (takes
+  // mu_).
   void send_pushes();
   // After the depart: takes every kDiffPush frame of this barrier
   // without blocking, then applies every fully-covered page (sorted by
-  // vc weight, to page and twin alike) and stashes the rest for the
-  // fault path.
+  // vc weight, after flushing our own unflushed intervals of it) and
+  // stashes the rest for the fault path.
   void collect_pushes();
 
+  // Pulls and applies every pending diff of `pages`, per page in vc-weight
+  // order, after flushing the page's own unflushed intervals. A reply
+  // whose blob covers seqs this rank has not integrated yet raises the
+  // page's applied-ahead mark for that creator.
   // `learn=false` marks the requests as epoch-GC validation traffic
   // (kDiffRequest tag 1): the server answers identically but does NOT
   // feed its adaptive push predictor — a forced fetch proves nothing
@@ -435,7 +465,7 @@ class Runtime {
   const Config cfg_;
 
   // The one lock on protocol state: vc_, intervals_, pages_ and
-  // page_ext_, preapplied_, locks_, diffs_ and the flush scratch. The
+  // page_ext_, locks_, diffs_, push_stash_ and the flush scratch. The
   // service thread holds it for the whole of each request it serves.
   mutable std::mutex mu_;
   VectorClock vc_;
@@ -461,11 +491,6 @@ class Runtime {
   // participates in the protocol. Guarded by mu_ like pages_.
   std::vector<std::unique_ptr<PageExt>> page_ext_;
   std::vector<PageIndex> dirty_pages_;  // pages twinned this interval
-  // (creator, seq, page) triples already applied via push/bcast, packed
-  // into 64-bit keys (pack_preapplied, types.hpp: 7-bit creator, 30-bit
-  // seq, 27-bit page): a flat hash set instead of a node-per-entry
-  // std::set on the fault path.
-  common::FlatSet64 preapplied_;
   std::vector<LockState> locks_;
 
   // Extended state accessors (caller holds mu_): ext() creates on first
@@ -499,7 +524,9 @@ class Runtime {
   // Flushes a page's lazy diff (creates it from twin vs current content
   // and registers it for every unflushed interval). Caller holds mu_.
   // A dirty page adopts the flush snapshot as its new twin; a clean
-  // page's twin has no further use and is freed. Returns modelled cost.
+  // page's twin has no further use and is freed. Runs on a diff request
+  // for an unflushed seq, on a push of the page, and before remote
+  // diffs are applied to it. Returns modelled cost.
   std::uint64_t flush_page_diff(PageIndex page);
 
   // Reusable worst-case-sized diff encode buffer (service thread, under
@@ -623,13 +650,12 @@ class Runtime {
     Seq lo = 0;  // push covers own seqs in (lo, hi] for this page
     Seq hi = 0;
     ProcMask dsts;
-    std::shared_ptr<std::vector<std::byte>> blob;  // flattened diff
+    std::shared_ptr<std::vector<std::byte>> blob;  // the span's flush blob
   };
   std::vector<PushPlanEntry> push_plan_;
   // Pages with own intervals not yet offered to consumers (appended by
   // close_interval, drained by build_push_plan).
   std::vector<PageIndex> push_candidates_;
-  DiffMerger diff_merger_;
   // Receiver-side stash of pushed diffs that could NOT be applied at the
   // barrier (the page had pending write notices the round's pushes did
   // not fully cover — false sharing with an unpredicted writer). The
@@ -642,9 +668,15 @@ class Runtime {
     Seq hi = 0;
     std::shared_ptr<std::vector<std::byte>> blob;
   };
+  static constexpr int kStashCreatorBits = 7;
+  static_assert(mpl::kMaxProcs <= (1 << kStashCreatorBits));
   [[nodiscard]] static constexpr std::uint64_t stash_key(
       PageIndex page, ProcId creator) noexcept {
-    return (static_cast<std::uint64_t>(page) << kPackCreatorBits) | creator;
+    return (static_cast<std::uint64_t>(page) << kStashCreatorBits) | creator;
+  }
+  [[nodiscard]] static constexpr ProcId stash_creator(
+      std::uint64_t key) noexcept {
+    return static_cast<ProcId>(key & ((1u << kStashCreatorBits) - 1));
   }
   std::unordered_map<std::uint64_t, PushStash> push_stash_;
 

@@ -188,56 +188,6 @@ struct IntervalMeta {
 };
 
 // ---------------------------------------------------------------------
-// Packed write-notice identities. A (creator, seq, page) triple fits one
-// 64-bit FlatSet64 key:
-//
-//   bit 63 ........ 57 56 ................. 27 26 ............. 0
-//   [ creator : 7b ]  [       seq : 30b       ]  [ page : 27b    ]
-//
-// The layout is ordering-preserving — keys compare like the tuple
-// (creator, seq, page) — and the (creator, seq) identity is recoverable
-// as the key's high 37 bits, which is what prefix erasure filters on.
-// ---------------------------------------------------------------------
-
-inline constexpr int kPackCreatorBits = 7;
-inline constexpr int kPackSeqBits = 30;
-inline constexpr int kPackPageBits = 27;
-static_assert(kPackCreatorBits + kPackSeqBits + kPackPageBits == 64);
-static_assert(mpl::kMaxProcs <= (1 << kPackCreatorBits),
-              "creator field too narrow for kMaxProcs");
-
-/// Largest representable values (inclusive); the runtime checks its heap
-/// and interval counts against these at startup / interval close.
-inline constexpr Seq kPackMaxSeq = (Seq{1} << kPackSeqBits) - 1;
-inline constexpr PageIndex kPackMaxPage = (PageIndex{1} << kPackPageBits) - 1;
-
-/// Packs one pre-applied write-notice identity into a FlatSet64 key.
-[[nodiscard]] constexpr std::uint64_t pack_preapplied(
-    ProcId creator, Seq seq, PageIndex page) noexcept {
-  return (static_cast<std::uint64_t>(creator)
-          << (kPackSeqBits + kPackPageBits)) |
-         (static_cast<std::uint64_t>(seq) << kPackPageBits) |
-         static_cast<std::uint64_t>(page);
-}
-
-/// The (creator, seq) identity of a packed key, for prefix erasure.
-[[nodiscard]] constexpr std::uint64_t preapplied_prefix(
-    std::uint64_t key) noexcept {
-  return key >> kPackPageBits;
-}
-
-/// Field extraction (tests and diagnostics).
-[[nodiscard]] constexpr ProcId preapplied_creator(std::uint64_t key) noexcept {
-  return static_cast<ProcId>(key >> (kPackSeqBits + kPackPageBits));
-}
-[[nodiscard]] constexpr Seq preapplied_seq(std::uint64_t key) noexcept {
-  return static_cast<Seq>((key >> kPackPageBits) & kPackMaxSeq);
-}
-[[nodiscard]] constexpr PageIndex preapplied_page(std::uint64_t key) noexcept {
-  return static_cast<PageIndex>(key & kPackMaxPage);
-}
-
-// ---------------------------------------------------------------------
 // Byte-stream serialization. All traffic stays on one host, so host byte
 // order is fine; bounds are checked on the read side.
 // ---------------------------------------------------------------------

@@ -4,11 +4,8 @@
 
 #include <sstream>
 
-#include <set>
-
 #include "common/checksum.hpp"
 #include "common/cpu_clock.hpp"
-#include "common/flat_hash.hpp"
 #include "common/page.hpp"
 #include "common/prng.hpp"
 #include "common/table.hpp"
@@ -150,70 +147,6 @@ TEST(Table, AlignsColumns) {
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(common::TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(common::TextTable::num(2.0, 0), "2");
-}
-
-// ---- FlatSet64 -------------------------------------------------------
-
-TEST(FlatSet64, InsertContainsErase) {
-  common::FlatSet64 set;
-  EXPECT_TRUE(set.empty());
-  EXPECT_TRUE(set.insert(42));
-  EXPECT_FALSE(set.insert(42));  // duplicate
-  EXPECT_TRUE(set.insert(0));    // zero is a valid key
-  EXPECT_TRUE(set.contains(42));
-  EXPECT_TRUE(set.contains(0));
-  EXPECT_FALSE(set.contains(7));
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.erase(42));
-  EXPECT_FALSE(set.erase(42));
-  EXPECT_FALSE(set.contains(42));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(FlatSet64, TombstoneSlotsAreReused) {
-  common::FlatSet64 set;
-  for (std::uint64_t k = 0; k < 100; ++k) EXPECT_TRUE(set.insert(k));
-  for (std::uint64_t k = 0; k < 100; k += 2) EXPECT_TRUE(set.erase(k));
-  for (std::uint64_t k = 0; k < 100; k += 2) EXPECT_TRUE(set.insert(k));
-  EXPECT_EQ(set.size(), 100u);
-  for (std::uint64_t k = 0; k < 100; ++k) EXPECT_TRUE(set.contains(k));
-}
-
-TEST(FlatSet64, EraseIfFiltersByPredicate) {
-  common::FlatSet64 set;
-  for (std::uint64_t k = 1; k <= 50; ++k) set.insert(k << 28);
-  const std::size_t removed =
-      set.erase_if([](std::uint64_t k) { return (k >> 28) % 2 == 0; });
-  EXPECT_EQ(removed, 25u);
-  EXPECT_EQ(set.size(), 25u);
-  EXPECT_TRUE(set.contains(std::uint64_t{1} << 28));
-  EXPECT_FALSE(set.contains(std::uint64_t{2} << 28));
-}
-
-TEST(FlatSet64, RandomizedAgainstStdSet) {
-  common::FlatSet64 flat;
-  std::set<std::uint64_t> ref;
-  common::SplitMix64 g(123);
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t key = g.next_below(512);  // force collisions
-    switch (g.next_below(3)) {
-      case 0:
-        EXPECT_EQ(flat.insert(key), ref.insert(key).second);
-        break;
-      case 1:
-        EXPECT_EQ(flat.erase(key), ref.erase(key) > 0);
-        break;
-      default:
-        EXPECT_EQ(flat.contains(key), ref.count(key) > 0);
-    }
-    EXPECT_EQ(flat.size(), ref.size());
-  }
-  const std::size_t removed = flat.erase_if(
-      [](std::uint64_t k) { return k % 3 == 0; });
-  std::size_t expected = 0;
-  for (std::uint64_t k : ref)
-    if (k % 3 == 0) ++expected;
-  EXPECT_EQ(removed, expected);
 }
 
 }  // namespace

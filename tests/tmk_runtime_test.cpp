@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/prng.hpp"
 #include "env_guard.hpp"
 #include "runner/counters.hpp"
 #include "runner/runner.hpp"
@@ -26,6 +28,16 @@ runner::SpawnOptions fast_options() {
   o.model = simx::MachineModel::zero_cost();
   o.shared_heap_bytes = 64ull << 20;
   o.timeout_sec = 120;
+  return o;
+}
+
+// fast_options() with the update mode pinned in the run's Config (every
+// other knob from the environment).
+runner::SpawnOptions mode_options(tmk::UpdateMode mode) {
+  runner::SpawnOptions o = fast_options();
+  tmk::Config cfg = tmk::Config::from_env();
+  cfg.update_mode = mode;
+  o.tmk_config = cfg;
   return o;
 }
 
@@ -278,7 +290,7 @@ TEST(TmkRuntime, PushSatisfiesFutureWriteNotices) {
       for (int i = 0; i < 1024; ++i) sum += data[i];
       const std::uint64_t faults_after = count(rt, Id::kPageFaults);
       rt.barrier();
-      // The barrier's write notice was pre-applied: no fault, no fetch.
+      // The barrier's write notice was applied ahead: no fault, no fetch.
       return (faults_after == faults_before) ? sum : -sum;
     }
     rt.barrier();
@@ -485,67 +497,6 @@ TEST(TmkRuntime, BarrierAfterForkJoinHasNoIntervalGap) {
     EXPECT_DOUBLE_EQ(p.checksum, 1024.0 * 4 * 2 + (0 + 1 + 2 + 3));
 }
 
-// ---- packed write-notice keys (types.hpp) ----------------------------
-
-// Exhaustive round-trip over every creator the 7-bit field admits,
-// crossed with boundary seq and page values.
-TEST(PackPreapplied, RoundTripsEveryCreatorAndBoundaryValues) {
-  const tmk::Seq seqs[] = {1, 2, 1000, tmk::kPackMaxSeq - 1,
-                           tmk::kPackMaxSeq};
-  const tmk::PageIndex pages[] = {0, 1, 4095, tmk::kPackMaxPage - 1,
-                                  tmk::kPackMaxPage};
-  for (int creator = 0; creator < mpl::kMaxProcs; ++creator) {
-    for (tmk::Seq seq : seqs) {
-      for (tmk::PageIndex page : pages) {
-        const auto id = static_cast<tmk::ProcId>(creator);
-        const std::uint64_t key = tmk::pack_preapplied(id, seq, page);
-        EXPECT_EQ(tmk::preapplied_creator(key), id);
-        EXPECT_EQ(tmk::preapplied_seq(key), seq);
-        EXPECT_EQ(tmk::preapplied_page(key), page);
-        EXPECT_EQ(tmk::preapplied_prefix(key),
-                  tmk::pack_preapplied(id, seq, 0) >> tmk::kPackPageBits);
-      }
-    }
-  }
-  static_assert(mpl::kMaxProcs <= (1 << tmk::kPackCreatorBits));
-}
-
-// The packing is ordering-preserving: keys compare exactly like the
-// (creator, seq, page) tuples they encode. Prefix erasure relies on the
-// (creator, seq) identity occupying the contiguous high bits, so a
-// neighbouring seq or creator must never alias into the page field.
-TEST(PackPreapplied, PreservesTupleOrderingForPrefixErasure) {
-  struct T {
-    tmk::ProcId c;
-    tmk::Seq s;
-    tmk::PageIndex p;
-  };
-  const T ts[] = {
-      {0, 1, 0},
-      {0, 1, tmk::kPackMaxPage},
-      {0, 2, 0},
-      {0, tmk::kPackMaxSeq, tmk::kPackMaxPage},
-      {1, 1, 0},
-      {63, 7, 123},
-      {63, 7, 124},
-      {63, 8, 0},
-      {64, 1, 0},
-      {127, tmk::kPackMaxSeq, tmk::kPackMaxPage},
-  };
-  for (std::size_t i = 0; i + 1 < std::size(ts); ++i) {
-    const std::uint64_t a = tmk::pack_preapplied(ts[i].c, ts[i].s, ts[i].p);
-    const std::uint64_t b =
-        tmk::pack_preapplied(ts[i + 1].c, ts[i + 1].s, ts[i + 1].p);
-    EXPECT_LT(a, b) << "entry " << i;
-    // Same (creator, seq) <=> same prefix.
-    const bool same_id =
-        ts[i].c == ts[i + 1].c && ts[i].s == ts[i + 1].s;
-    EXPECT_EQ(tmk::preapplied_prefix(a) == tmk::preapplied_prefix(b),
-              same_id)
-        << "entry " << i;
-  }
-}
-
 // Covered-seq gap regression (fetch_and_apply): a diff reply's blob can
 // bake in creator seqs the fetcher has not yet integrated (the reply's
 // `covered` exceeds the requested seq, because the creator's lazy flush
@@ -591,12 +542,12 @@ TEST(TmkRuntime, CoveredSeqGapDoesNotRefetchOrClobberLocalWrites) {
     rt.accept_push(0);
     if (go[0] != 42) return -1.0;
     // Write fault on the invalid page: the pending fetch requests s1
-    // only; the reply's blob covers s1..s2 and the gap seq s2 is
-    // recorded as pre-applied. Our own words must survive the apply.
+    // only; the reply's blob covers s1..s2, so the page is marked
+    // applied ahead through s2. Our own words must survive the apply.
     for (int i = 768; i < 1024; ++i) a[i] = 9;
     if (a[0] != 1 || a[256] != 2) return -2.0;  // baked-in writes visible
     const std::uint64_t before = count(rt, Id::kDiffRequests);
-    rt.barrier();  // s2's write notice arrives; pre-applied, no refetch
+    rt.barrier();  // s2's write notice arrives; applied ahead, no refetch
     double sum = 0;
     for (int i = 0; i < 1024; ++i) sum += a[i];
     if (count(rt, Id::kDiffRequests) != before) return -3.0;  // refetched!
@@ -858,6 +809,173 @@ TEST(TmkRuntime, OneRuntimeReportsExactlyItsCounters) {
     }
   }
 }
+
+// ---- apply order across writers ----------------------------------------
+
+// A remote diff must not land on a page that still holds unflushed own
+// intervals. Rank A writes word 1 and rank B word 0 in epoch 1; in epoch
+// 2 A rewrites word 0, and its write fault applies B's diff while A's
+// epoch-1 interval is unflushed. Were A's two intervals then one flush
+// blob, reader R would apply it at A's epoch-1 place and B's diff after
+// it (equal vc weight, ordered by creator whenever A < B), reading 20.
+struct RankOrder {
+  int a;
+  int b;
+  int r;
+  tmk::UpdateMode mode;
+
+  // The test-name suffix, and what gtest lists as the parameter (its raw
+  // bytes, padding included, otherwise).
+  [[nodiscard]] std::string name() const {
+    return "A" + std::to_string(a) + "B" + std::to_string(b) + "R" +
+           std::to_string(r) + "_" + tmk::to_string(mode);
+  }
+  friend void PrintTo(const RankOrder& o, std::ostream* os) {
+    *os << o.name();
+  }
+};
+
+std::vector<RankOrder> rank_orders() {
+  std::vector<RankOrder> v;
+  for (const tmk::UpdateMode mode :
+       {tmk::UpdateMode::kOff, tmk::UpdateMode::kHybrid}) {
+    int p[3] = {0, 1, 2};
+    do {
+      v.push_back({p[0], p[1], p[2], mode});
+    } while (std::next_permutation(p, p + 3));
+  }
+  return v;
+}
+
+class OwnFlushBeforeRemoteDiff : public ::testing::TestWithParam<RankOrder> {};
+
+TEST_P(OwnFlushBeforeRemoteDiff, ReaderSeesTheNewestWrite) {
+  const RankOrder o = GetParam();
+  auto r = runner::spawn(3, mode_options(o.mode), [o](runner::ChildContext& c) {
+    tmk::Runtime rt(c);
+    auto* page = rt.alloc<std::int32_t>(kIntsPerPage);
+    if (rt.rank() == o.a) page[1] = 10;
+    if (rt.rank() == o.b) page[0] = 20;
+    rt.barrier();
+    if (rt.rank() == o.a) page[0] = 30;
+    rt.barrier();
+    return rt.rank() == o.r ? static_cast<double>(page[0]) : 0.0;
+  });
+  EXPECT_DOUBLE_EQ(r.procs[static_cast<std::size_t>(o.r)].checksum, 30.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankOrders, OwnFlushBeforeRemoteDiff, ::testing::ValuesIn(rank_orders()),
+    [](const ::testing::TestParamInfo<RankOrder>& i) {
+      return i.param.name();
+    });
+
+// A push carries exactly one flush blob. Ranks 0 and 1 take turns under
+// lock 0 on page P, which both declare rank 2 reads: rank 0 writes
+// P[0] = 1; rank 1 writes P[0] = 2, and its write fault makes rank 0
+// flush; rank 0 then writes P[1] = 3. Rank 0's barrier-time span is two
+// flush blobs. Merged into one and applied at rank 0's newest interval,
+// after rank 1's diff, they would bring back P[0] = 1.
+TEST(TmkRuntime, HybridPushSpanningTwoFlushBlobsIsPulledInstead) {
+  auto r = runner::spawn(
+      3, mode_options(tmk::UpdateMode::kHybrid), [](runner::ChildContext& c) {
+        tmk::Runtime rt(c);
+        auto* p = rt.alloc<std::int32_t>(kIntsPerPage);
+        auto* turn = rt.alloc<std::int32_t>(kIntsPerPage);
+        if (rt.rank() < 2) rt.hint_consumers(p, common::kPageSize, 2);
+        rt.barrier();
+        // Spins under the lock until it is turn t, then writes and passes
+        // the turn on.
+        const auto take_turn = [&](int t, auto write) {
+          for (bool mine = false; !mine;) {
+            rt.lock_acquire(0);
+            mine = *turn == t;
+            if (mine) {
+              write();
+              *turn = t + 1;
+            }
+            rt.lock_release(0);
+          }
+        };
+        if (rt.rank() == 0) {
+          take_turn(0, [p] { p[0] = 1; });
+          take_turn(2, [p] { p[1] = 3; });
+        } else if (rt.rank() == 1) {
+          take_turn(1, [p] { p[0] = 2; });
+        }
+        rt.barrier();
+        return rt.rank() == 2 ? p[0] + 100.0 * p[1] : 0.0;
+      });
+  EXPECT_DOUBLE_EQ(r.procs[2].checksum, 2 + 100.0 * 3);
+}
+
+// Seeded word-ownership churn: both rules above matter only when a
+// word's writer changes between epochs on a falsely shared page. Every
+// epoch, a PRNG seeded alike on every rank gives about a quarter of the
+// words of two pages one writer each, then all ranks meet at a barrier.
+// The ranks only write until the end (a read would fetch, and the fetch
+// would make the writer flush), then each compares every word with the
+// model.
+struct ChurnCase {
+  int nprocs;
+  tmk::UpdateMode mode;
+  std::uint64_t seed;
+
+  [[nodiscard]] std::string name() const {
+    return "n" + std::to_string(nprocs) + "_" + tmk::to_string(mode) +
+           "_seed" + std::to_string(seed);
+  }
+  friend void PrintTo(const ChurnCase& k, std::ostream* os) {
+    *os << k.name();
+  }
+};
+
+std::vector<ChurnCase> churn_cases() {
+  std::vector<ChurnCase> v;
+  for (const int n : {4, 8})
+    for (const tmk::UpdateMode mode :
+         {tmk::UpdateMode::kOff, tmk::UpdateMode::kHybrid})
+      for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        v.push_back({n, mode, seed});
+  return v;
+}
+
+class OwnershipChurn : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(OwnershipChurn, EveryRankReadsTheLastWriteOfEveryWord) {
+  constexpr int kWords = 2 * kIntsPerPage;
+  constexpr int kEpochs = 40;
+  const ChurnCase k = GetParam();
+  auto r = runner::spawn(
+      k.nprocs, mode_options(k.mode), [k](runner::ChildContext& c) {
+        tmk::Runtime rt(c);
+        auto* words = rt.alloc<std::int32_t>(kWords);
+        std::vector<std::int32_t> model(kWords, 0);
+        common::SplitMix64 g(k.seed);
+        for (int e = 1; e <= kEpochs; ++e) {
+          for (int w = 0; w < kWords; ++w) {
+            if (g.next_below(4) != 0) continue;
+            const auto writer = static_cast<int>(
+                g.next_below(static_cast<std::uint64_t>(rt.nprocs())));
+            model[static_cast<std::size_t>(w)] = e * kWords + w;
+            if (writer == rt.rank()) words[w] = e * kWords + w;
+          }
+          rt.barrier();
+        }
+        int stale = 0;
+        for (int w = 0; w < kWords; ++w)
+          if (words[w] != model[static_cast<std::size_t>(w)]) ++stale;
+        return static_cast<double>(stale);
+      });
+  for (const auto& p : r.procs)
+    EXPECT_EQ(p.checksum, 0.0) << "stale words read by rank " << p.rank;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, OwnershipChurn, ::testing::ValuesIn(churn_cases()),
+    [](const ::testing::TestParamInfo<ChurnCase>& i) {
+      return i.param.name();
+    });
 
 // ---- integer knobs (config.hpp) ---------------------------------------
 
