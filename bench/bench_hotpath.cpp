@@ -1,5 +1,6 @@
 // Hot-path microbenchmarks: diff creation/application, the ring-mesh
-// fabric round trip, and barrier-heavy end-to-end DSM loops.
+// fabric round trip, barrier-heavy end-to-end DSM loops, and the write
+// fault with and without a twin copy.
 //
 // Unlike the figure/table benches, which report *modelled* SP/2 time,
 // every row here is host wall-clock: this binary measures the cost of
@@ -216,6 +217,59 @@ void BM_MgsTmkReducedShm(benchmark::State& state) {
   bm_workload(state, "mgs", 4, "reduced-shm");
 }
 BENCHMARK(BM_MgsTmkReducedShm)->Unit(benchmark::kMillisecond);
+
+// ---- twin creation: write faults on pristine and filled pages ---------
+
+// Host seconds per write fault: the SIGSEGV round trip, the twin and the
+// read-write upgrade. In each spawn rank 0 first writes one word of each
+// of kPages pages no rank ever wrote (state kZero: the twin is the zero
+// image), then, after rank 1's reads made rank 0 flush and free those
+// twins, writes the same pages again; they now hold data, so each twin
+// is a 4 KiB copy. Rank 0 times each loop alone. Thread backend, so the
+// ranks' loop times reach the bench through a capture.
+void BM_WriteFault(benchmark::State& state) {
+  constexpr int kPages = 1024;
+  constexpr std::size_t kWordsPerPage = common::kPageSize / sizeof(double);
+  auto opts = e2e_options();
+  opts.backend = runner::Backend::kThread;
+  opts.shared_heap_bytes = 16ull << 20;
+  double pristine_s = 0.0, filled_s = 0.0, checksum = 0.0;
+  for (auto _ : state) {
+    const auto r = runner::spawn(2, opts, [&](runner::ChildContext& c) {
+      tmk::Runtime rt(c);
+      auto* data = rt.alloc<double>(kPages * kWordsPerPage);
+      const auto write_all = [&](double v) {
+        const auto t0 = Clock::now();
+        for (std::size_t q = 0; q < kPages; ++q) data[q * kWordsPerPage] = v;
+        benchmark::DoNotOptimize(data);
+        benchmark::ClobberMemory();
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+      };
+      if (rt.rank() == 0) pristine_s += write_all(1.0);
+      rt.barrier();
+      double sum = 0.0;
+      if (rt.rank() == 1)
+        for (std::size_t q = 0; q < kPages; ++q) sum += data[q * kWordsPerPage];
+      rt.barrier();
+      if (rt.rank() == 0) filled_s += write_all(2.0);
+      rt.barrier();
+      return sum;
+    });
+    checksum = r.procs[1].checksum;
+    if (checksum != kPages) {
+      std::cerr << "FATAL: write_fault read " << checksum << ", want "
+                << kPages << "\n";
+      std::abort();
+    }
+  }
+  const double faults =
+      static_cast<double>(kPages) * static_cast<double>(state.iterations());
+  add_row("write_fault", "pristine", pristine_s / faults, checksum, 2,
+          mpl::TransportKind::kInproc);
+  add_row("write_fault", "filled", filled_s / faults, checksum, 2,
+          mpl::TransportKind::kInproc);
+}
+BENCHMARK(BM_WriteFault)->Unit(benchmark::kMillisecond);
 
 // ---- fault machinery: disabled-path parity ----------------------------
 

@@ -46,7 +46,8 @@ enum class Id : std::uint8_t {
   kRaceReportsDropped,  // reports past TMK_RACECHECK_MAX_REPORTS
   kIntervalsReclaimed,  // interval records freed by epoch GC
   kProtocolRssBytes,    // peak per-rank protocol-state footprint
-  kTwinsCreated,        // twin copies made by write faults
+  kTwinsCreated,        // twins taken by write faults (a pristine
+                        // page's twin is the zero page, not a copy)
   kDiffsCreated,        // diffs encoded (lazy flushes)
   kDiffBytesCreated,    // encoded bytes of those diffs
   kDiffsFetched,        // diff records received in fetch replies

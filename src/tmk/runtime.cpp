@@ -49,6 +49,9 @@ struct TsanIgnoreScope {
 
 Runtime* Runtime::instance() noexcept { return t_runtime; }
 
+alignas(common::kPageSize) const std::byte
+    Runtime::kZeroImage[common::kPageSize] = {};
+
 // Defined in sigsegv.cpp.
 void install_sigsegv_handler();
 void uninstall_thread_sigaltstack() noexcept;
@@ -74,8 +77,12 @@ Runtime::Runtime(runner::ChildContext& ctx)
   // write-fault path never grows this vector.
   dirty_pages_.reserve(num_pages_);
 
-  // Zero-page invariant: every process starts with identical all-zero
-  // pages; reads are free until the first write notice arrives.
+  // Zero-page invariant: every Runtime starts from identical all-zero
+  // pages, so reads are free until the first write notice arrives and a
+  // page's first write twins against kZeroImage (PageState::kZero).
+  // Dropping the private mapping's pages makes that hold for a second
+  // Runtime on a rank too: it reads zeros, not what the first one left.
+  COMMON_SYSCALL(madvise(heap_, heap_len_, MADV_DONTNEED));
   COMMON_SYSCALL(mprotect(heap_, heap_len_, PROT_READ));
   ++ctrs_[Ctr::kHostMprotectCalls];
 
@@ -286,7 +293,7 @@ void Runtime::close_interval() {
       // writer's notice); its content is intact — unprotect to scan.
       const bool unreadable = pm.state == PageState::kInvalid;
       if (unreadable) mprotect_page(page, PROT_READ);
-      const RaceMask cum = changed_word_mask(px.twin.get(), page_ptr(page));
+      const RaceMask cum = changed_word_mask(px.twin_image(), page_ptr(page));
       if (unreadable) mprotect_page(page, PROT_NONE);
       meta->write_masks.push_back(cum.minus(px.race_cum_mask));
       px.race_cum_mask = cum;
@@ -300,7 +307,7 @@ void Runtime::close_interval() {
   for (PageIndex page : dirty_pages_) {
     PageMeta& pm = pages_[page];
     PageExt& px = ext(page);
-    COMMON_CHECK(pm.dirty && px.twin != nullptr);
+    COMMON_CHECK(pm.dirty && px.has_twin());
     px.unflushed.push_back(seq);
     if (pushing()) {
       // First unpushed interval for this page since the last barrier
@@ -333,7 +340,7 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
   // bytes (lazy diffing; see PageExt::twin in runtime.hpp).
   PageMeta& pm = pages_[page];
   PageExt& px = ext(page);
-  COMMON_CHECK(!px.unflushed.empty() && px.twin != nullptr);
+  COMMON_CHECK(!px.unflushed.empty() && px.has_twin());
   const auto& model = ep_.clock().model();
   std::uint64_t cost = model.diff_create_ns;
 
@@ -369,7 +376,7 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
       std::memcpy(flush_snapshot_.get(), page_ptr(page), common::kPageSize);
     // Encode into the reusable worst-case-sized scratch (no allocation
     // after warm-up), then store one exact-size immutable blob.
-    make_diff_into(px.twin.get(), image, diff_scratch_);
+    make_diff_into(px.twin_image(), image, diff_scratch_);
   }
   auto diff = std::make_shared<std::vector<std::byte>>(diff_scratch_.begin(),
                                                        diff_scratch_.end());
@@ -379,10 +386,15 @@ std::uint64_t Runtime::flush_page_diff(PageIndex page) {
   for (Seq s : px.unflushed)
     diffs_.emplace(diff_key(page, s), DiffRec{diff, covered});
   px.unflushed.clear();
-  if (pm.dirty)
-    px.twin.swap(flush_snapshot_);  // open-interval writes diff against it
-  else
-    px.twin.reset();  // the diff exists; the next write fault re-twins
+  if (pm.dirty) {
+    // Open-interval writes diff against the snapshot. A copied twin
+    // becomes the next snapshot; the zero image never does (a null
+    // snapshot is allocated at the next flush that needs one).
+    px.twin.swap(flush_snapshot_);
+    px.zero_twin = false;
+  } else {
+    px.free_twin();  // the diff exists; the next write fault re-twins
+  }
   // The twin was re-baselined (recopied or freed) — the race
   // detector's cumulative write-mask watermark restarts from this
   // image. Open-interval writes made before the flush are baked into
@@ -607,11 +619,11 @@ void Runtime::race_check_incoming(const IntervalMeta& m) {
     }
 
     // -- write/write, the open local interval --
-    if (pages_[page].dirty && px->twin != nullptr) {
+    if (pages_[page].dirty && px->has_twin()) {
       const bool unreadable = pages_[page].state == PageState::kInvalid;
       if (unreadable) mprotect_page(page, PROT_READ);
       const RaceMask open =
-          changed_word_mask(px->twin.get(), page_ptr(page))
+          changed_word_mask(px->twin_image(), page_ptr(page))
               .minus(px->race_cum_mask);
       if (unreadable) mprotect_page(page, PROT_NONE);
       const RaceMask overlap = open & rmask;
@@ -907,8 +919,9 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       apply_diff(fd.blob, page_ptr(page));
       // A twin left after the flush belongs to the open interval: the
       // diff goes to both copies, so the next flush exports our words
-      // only.
-      if (px.twin != nullptr) apply_diff(fd.blob, px.twin.get());
+      // only. (Only here and in collect_pushes does a zero twin become
+      // a copy.)
+      if (px.has_twin()) apply_diff(fd.blob, px.writable_twin());
     }
     px.pending.clear();
     if (pm.dirty) {
@@ -935,13 +948,20 @@ void Runtime::make_writable_locked(PageIndex page) {
   PageMeta& pm = pages_[page];
   if (!pm.dirty) {
     PageExt& px = ext(page);
-    if (px.twin == nullptr) {
+    if (!px.has_twin()) {
       // First write since the last flush: make a twin. A persistent
       // twin from earlier intervals is reused without copying (the
-      // big lazy-diffing saving for repeatedly-written pages). Not
-      // zero-filled: the copy overwrites the whole page.
-      px.twin = std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
-      std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
+      // big lazy-diffing saving for repeatedly-written pages). A kZero
+      // page still holds the zeroed heap's zeros, so kZeroImage is its
+      // twin and no copy is made; the model charges a twin either way.
+      if (pm.state == PageState::kZero) {
+        px.zero_twin = true;
+      } else {
+        // Not zero-filled: the copy overwrites the whole page.
+        px.twin =
+            std::make_unique_for_overwrite<std::byte[]>(common::kPageSize);
+        std::memcpy(px.twin.get(), page_ptr(page), common::kPageSize);
+      }
       ep_.clock().add_model(ep_.clock().model().twin_ns);
       ++ctrs_[Ctr::kTwinsCreated];
     }
@@ -974,11 +994,13 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
     std::lock_guard<std::mutex> g(mu_);
     state = pages_[page].state;
   }
-  // A fault on a read-only page can only be a write; a fault on an
-  // invalid page uses the hardware's read/write bit when available
-  // (x86-64), else is treated as a read — the retried store then faults
-  // again on the read-only page and takes the write path.
-  const bool is_write = is_write_hint || state == PageState::kReadOnly;
+  // A fault on a PROT_READ page (kZero or kReadOnly) can only be a
+  // write; a fault on an invalid page uses the hardware's read/write bit
+  // when available (x86-64), else is treated as a read — the retried
+  // store then faults again on the read-only page and takes the write
+  // path.
+  const bool is_write = is_write_hint || state == PageState::kZero ||
+                        state == PageState::kReadOnly;
   ++ctrs_[Ctr::kPageFaults];
 
   switch (state) {
@@ -996,6 +1018,7 @@ bool Runtime::handle_fault(void* addr, bool is_write_hint) {
       }
       return true;
     }
+    case PageState::kZero:
     case PageState::kReadOnly: {
       std::lock_guard<std::mutex> g(mu_);
       COMMON_CHECK(!pages_[page].dirty);
@@ -1264,15 +1287,15 @@ void Runtime::epoch_gc_reclaim(const VectorClock& horizon) {
     // open write in flight, the baseline image serves no future diff.
     // Free it — the next write fault re-baselines from the current
     // content, which has the reclaimed writes baked in.
-    if (px.twin != nullptr && px.unflushed.empty() && !pm.dirty) {
-      px.twin.reset();
+    if (px.has_twin() && px.unflushed.empty() && !pm.dirty) {
+      px.free_twin();
       px.race_cum_mask = RaceMask{};
     }
     // Fold an emptied slot back to nullptr — the lazy-allocation steady
     // state for pages that left the protocol's working set. Consumer
     // hints persist (the application declared them once, for the whole
     // run), so a hinted page keeps its slot.
-    if (px.twin == nullptr && px.pending.empty() && px.notices.empty() &&
+    if (!px.has_twin() && px.pending.empty() && px.notices.empty() &&
         px.unflushed.empty() && px.applied_ahead.empty() &&
         px.race_reads.empty() && !px.hint_consumers.any() &&
         !px.adaptive_consumers.any())
@@ -1307,7 +1330,7 @@ std::uint64_t Runtime::protocol_rss_bytes_locked() const {
     total += e->unflushed.capacity() * sizeof(Seq);
     total += e->applied_ahead.capacity() * sizeof(IntervalKey);
     total += e->race_reads.capacity() * sizeof(PageExt::ReadRec);
-    if (e->twin != nullptr) total += common::kPageSize;
+    if (e->twin != nullptr) total += common::kPageSize;  // copies only
   }
   for (const auto& [key, stash] : push_stash_) {
     total += sizeof(key) + sizeof(stash);
@@ -1333,7 +1356,7 @@ Runtime::MemStats Runtime::mem_stats() const {
   for (const auto& e : page_ext_) {
     if (e == nullptr) continue;
     ++s.page_ext_live;
-    if (e->twin != nullptr) ++s.twins_live;
+    if (e->has_twin()) ++s.twins_live;
   }
   return s;
 }
@@ -1569,7 +1592,7 @@ void Runtime::collect_pushes() {
       ep_.clock().add_model(
           ep_.clock().model().diff_apply_cost(recs[k].blob.size()));
       apply_diff(recs[k].blob, page_ptr(page));
-      if (px.twin != nullptr) apply_diff(recs[k].blob, px.twin.get());
+      if (px.has_twin()) apply_diff(recs[k].blob, px.writable_twin());
     }
     ctrs_[Ctr::kPushHits] += j - i;
     px.pending.clear();

@@ -53,6 +53,8 @@ namespace tmk {
 
 /// Per-page protocol state.
 enum class PageState : std::uint8_t {
+  kZero,       // mapped PROT_READ; never written or patched on this rank,
+               // so it still holds the zeroed heap's zeros
   kReadOnly,   // mapped PROT_READ; contents valid
   kReadWrite,  // mapped PROT_READ|PROT_WRITE; twinned, being written
   kInvalid,    // mapped PROT_NONE; write notices pending
@@ -255,7 +257,7 @@ class Runtime {
   // protocol state allocated lazily the first time a page participates
   // in the protocol. Most pages of a large heap never do.
   struct PageMeta {
-    PageState state = PageState::kReadOnly;
+    PageState state = PageState::kZero;
     bool dirty = false;  // written during the current interval
   };
   static_assert(sizeof(PageMeta) == 2);
@@ -263,8 +265,29 @@ class Runtime {
   struct PageExt {
     // The twin persists across interval closes (lazy diffing): it is the
     // page image as of the last flush, covering every interval in
-    // `unflushed` plus any open-interval writes.
+    // `unflushed` plus any open-interval writes. A page first written in
+    // state kZero twins against the shared zero image (zero_twin) and
+    // holds no copy; `twin` is a private copy otherwise.
     std::unique_ptr<std::byte[]> twin;
+    [[nodiscard]] bool has_twin() const noexcept {
+      return zero_twin || twin != nullptr;
+    }
+    [[nodiscard]] const std::byte* twin_image() const noexcept {
+      return zero_twin ? kZeroImage : twin.get();
+    }
+    // The twin as bytes a remote diff can be applied to: a zero twin
+    // becomes a private zero-filled copy first.
+    [[nodiscard]] std::byte* writable_twin() {
+      if (zero_twin) {
+        twin = std::make_unique<std::byte[]>(common::kPageSize);
+        zero_twin = false;
+      }
+      return twin.get();
+    }
+    void free_twin() noexcept {
+      twin.reset();
+      zero_twin = false;
+    }
     std::vector<const IntervalMeta*> pending;
     // Every interval known to touch this page (applied or pending);
     // lets push() enumerate covered write notices without a full scan.
@@ -304,6 +327,9 @@ class Runtime {
     ProcMask hint_consumers;
     ProcMask adaptive_consumers;
     std::uint8_t push_budget = 0;  // re-armed to Config::push_credits
+    // (The twin's flag sits here, in push_budget's padding, so PageExt
+    // does not grow.)
+    bool zero_twin = false;
     static_assert(Config::push_credits >= 1 && Config::push_credits <= 0xff);
     // Own-interval push watermarks: the highest own seq that dirtied
     // this page, and the highest own seq already offered to consumers.
@@ -377,8 +403,12 @@ class Runtime {
 
   // Both write-fault paths end here (caller holds mu_): twin the page
   // unless it still holds a twin, mark it dirty for the open interval,
-  // and map it read-write.
+  // and map it read-write. A kZero page's twin is kZeroImage, not a copy.
   void make_writable_locked(PageIndex page);
+  // The all-zero page every zero twin reads. Read-only data, so a stray
+  // write through it faults instead of corrupting every zero twin.
+  alignas(common::kPageSize) static const std::byte
+      kZeroImage[common::kPageSize];
 
   // -- hybrid update protocol (barrier-time diff push; mode != off) --
   [[nodiscard]] bool pushing() const noexcept {

@@ -10,8 +10,9 @@
 //     phase-aligned footprint stays flat (asserted in-child) and far
 //     below the off run's;
 //   - twin lifetime: a clean flush frees the twin, a one-epoch twin
-//     spike returns to the allocator once quiet GC rounds follow, and
-//     fully-consumed per-page extensions fold back to nullptr;
+//     spike returns to the allocator once quiet GC rounds follow,
+//     fully-consumed per-page extensions fold back to nullptr, and a
+//     page that never held data twins against the zero image, no copy;
 //   - the wire cost of a GC round: one vector clock on each barrier
 //     depart, nothing on the arrivals, no extra messages;
 //   - the CI soak (64 ranks, thousands of barrier epochs) — skipped
@@ -203,6 +204,11 @@ TEST(EpochGcPools, TwinSpikeReturnsAndPageExtFoldsAfterQuietBarriers) {
   const auto r = runner::spawn(2, opts, [](runner::ChildContext& ctx) {
     tmk::Runtime rt(ctx);
     auto* heap = rt.alloc<std::uint64_t>(kPages * 512);
+    // Fill epoch: rank 1 writes another word of every page, so rank 0's
+    // spike faults fetch data into pages that then twin by copy (a page
+    // that never held data would twin against the zero image).
+    if (rt.rank() == 1)
+      for (int q = 0; q < kPages; ++q) heap[q * 512 + 1] = 1;
     rt.barrier();
     // Spike epoch: rank 0 dirties every page — one twin per page.
     if (rt.rank() == 0)
@@ -241,11 +247,12 @@ TEST(EpochGcPools, TwinSpikeReturnsAndPageExtFoldsAfterQuietBarriers) {
 }
 
 // A twin has no use once its page's diff exists. With the collector off
-// only the lazy flush can retire it: rank 0 dirties 32 pages, rank 1's
-// read faults make rank 0's service thread flush each clean page, and
-// every twin must leave rank 0's footprint. Rank 0's two mem_stats()
-// snapshots reach the test through a MAP_SHARED mapping made before the
-// spawn, which forked ranks share too.
+// only the lazy flush can retire it: rank 0 dirties 32 pages that rank 1
+// filled an epoch before (so each twin is a copy), rank 1's read faults
+// make rank 0's service thread flush each clean page, and every twin
+// must leave rank 0's footprint. Rank 0's two mem_stats() snapshots
+// reach the test through a MAP_SHARED mapping made before the spawn,
+// which forked ranks share too.
 class TwinLifetime : public ::testing::TestWithParam<runner::Backend> {};
 
 TEST_P(TwinLifetime, CleanFlushFreesTheTwin) {
@@ -263,6 +270,9 @@ TEST_P(TwinLifetime, CleanFlushFreesTheTwin) {
   const auto r = runner::spawn(2, opts, [snaps](runner::ChildContext& ctx) {
     tmk::Runtime rt(ctx);
     auto* heap = rt.alloc<std::uint64_t>(kPages * 512);
+    if (rt.rank() == 1)
+      for (int q = 0; q < kPages; ++q) heap[q * 512 + 1] = 1;
+    rt.barrier();
     if (rt.rank() == 0)
       for (int q = 0; q < kPages; ++q) heap[q * 512] = q + 1;
     rt.barrier();
@@ -285,6 +295,70 @@ TEST_P(TwinLifetime, CleanFlushFreesTheTwin) {
             s.flushed.protocol_rss_bytes + kPages * common::kPageSize / 2)
       << "dirtied " << s.dirtied.protocol_rss_bytes << ", flushed "
       << s.flushed.protocol_rss_bytes;
+}
+
+// A page that never held data twins against the shared zero image: rank
+// 0 writes 32 fresh pages, and the counters still see 32 twins made and
+// live, but the footprint holds no twin page — it is no larger than
+// after rank 1's reads flushed every twin away. Rewritten after that
+// clean flush, the pages hold data, and the 32 new twins are copies.
+TEST_P(TwinLifetime, FreshPagesTwinAgainstTheZeroImage) {
+  constexpr int kPages = 32;
+  struct Snap {
+    tmk::Runtime::MemStats mem;
+    std::uint64_t twins_created = 0;
+  };
+  struct Snaps {
+    Snap fresh;
+    Snap flushed;
+    Snap rewritten;
+  };
+  void* shared = mmap(nullptr, sizeof(Snaps), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* snaps = static_cast<Snaps*>(shared);
+  runner::SpawnOptions opts = fast_options(false, 64);
+  opts.backend = GetParam();
+  const auto r = runner::spawn(2, opts, [snaps](runner::ChildContext& ctx) {
+    tmk::Runtime rt(ctx);
+    auto* heap = rt.alloc<std::uint64_t>(kPages * 512);
+    const auto snap = [&rt](Snap& s) {
+      s.mem = rt.mem_stats();
+      s.twins_created = rt.counters()[Id::kTwinsCreated];
+    };
+    if (rt.rank() == 0)
+      for (int q = 0; q < kPages; ++q) heap[q * 512] = q + 1;
+    rt.barrier();
+    if (rt.rank() == 0) snap(snaps->fresh);
+    rt.barrier();  // rank 0's snapshot precedes rank 1's first fetch
+    double sum = 0;
+    if (rt.rank() == 1)
+      for (int q = 0; q < kPages; ++q)
+        sum += static_cast<double>(heap[q * 512]);
+    rt.barrier();
+    if (rt.rank() == 0) {
+      snap(snaps->flushed);
+      for (int q = 0; q < kPages; ++q) heap[q * 512] = 2 * (q + 1);
+    }
+    rt.barrier();
+    if (rt.rank() == 0) snap(snaps->rewritten);
+    return sum;
+  });
+  const Snaps s = *snaps;
+  munmap(shared, sizeof(Snaps));
+  EXPECT_DOUBLE_EQ(r.procs[1].checksum, kPages * (kPages + 1) / 2);
+  EXPECT_EQ(s.fresh.twins_created, std::uint64_t{kPages});
+  EXPECT_EQ(s.fresh.mem.twins_live, std::uint64_t{kPages});
+  EXPECT_LE(s.fresh.mem.protocol_rss_bytes, s.flushed.mem.protocol_rss_bytes)
+      << "fresh " << s.fresh.mem.protocol_rss_bytes << ", flushed "
+      << s.flushed.mem.protocol_rss_bytes;
+  EXPECT_EQ(s.flushed.mem.twins_live, 0u);
+  EXPECT_EQ(s.rewritten.twins_created, std::uint64_t{2 * kPages});
+  EXPECT_EQ(s.rewritten.mem.twins_live, std::uint64_t{kPages});
+  EXPECT_GE(s.rewritten.mem.protocol_rss_bytes,
+            s.flushed.mem.protocol_rss_bytes + kPages * common::kPageSize)
+      << "rewritten " << s.rewritten.mem.protocol_rss_bytes << ", flushed "
+      << s.flushed.mem.protocol_rss_bytes;
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TwinLifetime,

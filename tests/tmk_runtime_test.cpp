@@ -9,6 +9,7 @@
 #include <cstring>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -697,12 +698,18 @@ TEST(TmkRuntime, ForkAfterBarrierResendsNoInterval) {
 // Two Runtimes in turn on each rank: destroying the first clears the
 // thread's instance(), so the second takes its own write faults and its
 // writes reach the peer; a third Runtime while the second is alive is
-// refused.
+// refused. Every Runtime starts from a zeroed heap: the first one's
+// writes (one rank's own, so the ranks' heaps differ) are gone, and the
+// second reads zeros there before it writes.
 TEST(TmkRuntime, SecondRuntimeOnARankTakesItsOwnFaults) {
   constexpr int kPages = 8;
   auto r = runner::spawn(2, fast_options(), [](runner::ChildContext& c) {
     {
       tmk::Runtime first(c);
+      auto* data = first.alloc<std::int32_t>(2 * kPages * kIntsPerPage);
+      const int me = first.rank();
+      for (int p = 0; p < kPages; ++p)
+        data[(me * kPages + p) * kIntsPerPage] = -(100 * me + p + 1);
       first.barrier();
     }
     tmk::Runtime rt(c);
@@ -714,6 +721,9 @@ TEST(TmkRuntime, SecondRuntimeOnARankTakesItsOwnFaults) {
     }
     auto* data = rt.alloc<std::int32_t>(2 * kPages * kIntsPerPage);
     const int me = rt.rank();
+    bool zeroed = true;
+    for (int p = 0; p < kPages; ++p)
+      if (data[(me * kPages + p) * kIntsPerPage] != 0) zeroed = false;
     for (int p = 0; p < kPages; ++p)
       data[(me * kPages + p) * kIntsPerPage] = 100 * me + p + 1;
     const bool faulted = count(rt, Id::kPageFaults) >= kPages;
@@ -725,10 +735,10 @@ TEST(TmkRuntime, SecondRuntimeOnARankTakesItsOwnFaults) {
         peer_seen = false;
     rt.barrier();
     return (refused ? 1.0 : 0.0) + (faulted ? 2.0 : 0.0) +
-           (peer_seen ? 4.0 : 0.0);
+           (peer_seen ? 4.0 : 0.0) + (zeroed ? 8.0 : 0.0);
   });
   for (const auto& p : r.procs)
-    EXPECT_DOUBLE_EQ(p.checksum, 7.0) << "rank " << p.rank;
+    EXPECT_DOUBLE_EQ(p.checksum, 15.0) << "rank " << p.rank;
 }
 
 // The counter fold at shutdown. Each rank runs `runtimes` Runtimes in
@@ -867,6 +877,80 @@ TEST_P(OwnFlushBeforeRemoteDiff, ReaderSeesTheNewestWrite) {
 INSTANTIATE_TEST_SUITE_P(
     RankOrders, OwnFlushBeforeRemoteDiff, ::testing::ValuesIn(rank_orders()),
     [](const ::testing::TestParamInfo<RankOrder>& i) {
+      return i.param.name();
+    });
+
+// A remote diff can land on a page whose twin is still the zero image:
+// the page held no data when its open interval first wrote it, and a
+// lock grant delivers another writer's notice before that interval
+// closes. The diff must go to a private copy of the twin, so the
+// acquirer's interval exports its own words only. Writer W holds lock 0
+// across a barrier, then writes word 0 = 10 and releases. Acquirer A
+// writes word 1 = 20 on the fresh page, acquires lock 0 (the grant
+// carries W's interval) and writes word 2 = 30, whose fault fetches W's
+// diff. Once that fetch made W flush, W writes word 0 = 40 outside the
+// lock. A's interval and W's second are concurrent and write disjoint
+// words, so reader R must read 40, 20 and 30 whatever order it applies
+// them in; had A's diff carried W's 10, R would read 10 whenever W < A.
+struct LockOrder {
+  int w;
+  int a;
+  int r;
+  tmk::UpdateMode mode;
+  runner::Backend backend;
+
+  [[nodiscard]] std::string name() const {
+    return "W" + std::to_string(w) + "A" + std::to_string(a) + "R" +
+           std::to_string(r) + "_" + tmk::to_string(mode) + "_" +
+           runner::to_string(backend);
+  }
+  friend void PrintTo(const LockOrder& o, std::ostream* os) {
+    *os << o.name();
+  }
+};
+
+std::vector<LockOrder> lock_orders() {
+  std::vector<LockOrder> v;
+  for (const runner::Backend backend :
+       {runner::Backend::kProcess, runner::Backend::kThread})
+    for (const RankOrder& o : rank_orders())
+      v.push_back({o.a, o.b, o.r, o.mode, backend});
+  return v;
+}
+
+class ZeroTwinBeforeFirstClose : public ::testing::TestWithParam<LockOrder> {};
+
+TEST_P(ZeroTwinBeforeFirstClose, ReaderSeesEveryWord) {
+  const LockOrder o = GetParam();
+  runner::SpawnOptions opts = mode_options(o.mode);
+  opts.backend = o.backend;
+  auto r = runner::spawn(3, opts, [o](runner::ChildContext& c) {
+    tmk::Runtime rt(c);
+    auto* page = rt.alloc<std::int32_t>(kIntsPerPage);
+    if (rt.rank() == o.w) rt.lock_acquire(0);
+    rt.barrier();
+    if (rt.rank() == o.w) {
+      page[0] = 10;
+      rt.lock_release(0);
+      while (count(rt, Id::kDiffsCreated) == 0) std::this_thread::yield();
+      page[0] = 40;
+    } else if (rt.rank() == o.a) {
+      page[1] = 20;
+      rt.lock_acquire(0);
+      page[2] = 30;
+      rt.lock_release(0);
+    }
+    rt.barrier();
+    return rt.rank() == o.r ? page[0] + 100.0 * page[1] + 10000.0 * page[2]
+                            : 0.0;
+  });
+  EXPECT_DOUBLE_EQ(r.procs[static_cast<std::size_t>(o.r)].checksum,
+                   40 + 100.0 * 20 + 10000.0 * 30);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankOrders, ZeroTwinBeforeFirstClose, ::testing::ValuesIn(lock_orders()),
+    [](const ::testing::TestParamInfo<LockOrder>& i) {
       return i.param.name();
     });
 
