@@ -14,6 +14,7 @@
 // smoke run (used by CI to catch hot-path regressions loudly).
 #include <benchmark/benchmark.h>
 
+#include <any>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -23,6 +24,7 @@
 #include "apps/registry.hpp"
 #include "bench_common.hpp"
 #include "bench_opts.hpp"
+#include "common/checksum.hpp"
 #include "common/page.hpp"
 #include "common/prng.hpp"
 #include "mpl/fabric.hpp"
@@ -188,17 +190,27 @@ runner::SpawnOptions e2e_options() {
   return o;
 }
 
+// Aborts on a run whose checksum is not the sequential one, so a row
+// never records a broken run. (No benchmark::DoNotOptimize on the
+// double: GCC has handed back a value nobody stored through it.)
 void bm_workload(benchmark::State& state, const char* key, int nprocs,
                  const char* variant) {
   const apps::Workload& w = apps::find_workload(key);
+  const std::any& params = w.params(apps::Preset::kReduced);
+  const double expect = w.seq(params, nullptr);
+  const double tolerance = w.find(apps::System::kTmk)->tolerance;
   double checksum = 0.0;
   const auto t0 = Clock::now();
   for (auto _ : state) {
     const auto r = apps::run_workload(w, apps::System::kTmk, nprocs,
-                                      e2e_options(),
-                                      apps::Preset::kReduced);
+                                      e2e_options(), params);
     checksum = r.checksum;
-    benchmark::DoNotOptimize(checksum);
+    if (tolerance > 0 ? !common::checksum_close(checksum, expect, tolerance)
+                      : checksum != expect) {
+      std::cerr << "FATAL: e2e_" << key << "_tmk read " << checksum
+                << ", sequential " << expect << "\n";
+      std::abort();
+    }
   }
   const auto t1 = Clock::now();
   const double per_run =
@@ -322,7 +334,6 @@ void BM_FaultMachineryDisabledParity(benchmark::State& state) {
                    "run (checksum/counter/send-call mismatch vs plain run)\n";
       std::abort();
     }
-    benchmark::DoNotOptimize(checksum);
   }
   const auto t1 = Clock::now();
   unsetenv("TMK_FAULT_INJECT");

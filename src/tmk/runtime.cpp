@@ -747,10 +747,10 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
   // pending lists, and we *are* the main thread, so the snapshot stays
   // accurate while we release mu_ to do network I/O.
   bool any = false;
-  // Pending seqs covered by a stashed push (a barrier-time diff push
-  // the page's other pending notices kept us from applying on the
-  // spot) are satisfied locally: the stashed blob is staged alongside
-  // the fetched ones and that creator's round trip never happens.
+  // Pending seqs covered by a stashed push (a barrier-time diff push)
+  // are satisfied locally: the stashed blob is staged alongside the
+  // fetched ones and that creator's round trip never happens. A page
+  // the stash covers whole needs no round trip at all.
   struct StashHit {
     PageIndex page;
     const IntervalMeta* interval;
@@ -765,11 +765,9 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       if (px == nullptr) continue;
       for (const IntervalMeta* m : px->pending) {
         COMMON_CHECK(m->id.creator != rank_);
-        const std::uint64_t key = stash_key(page, m->id.creator);
-        if (const auto it = push_stash_.find(key);
-            it != push_stash_.end() && m->id.seq > it->second.lo &&
-            m->id.seq <= it->second.hi) {
-          stash_hits.push_back(StashHit{page, m, key});
+        if (stash_covers(page, *m)) {
+          stash_hits.push_back(
+              StashHit{page, m, stash_key(page, m->id.creator)});
           continue;
         }
         fetch_needs_[m->id.creator].push_back(FetchNeed{page, m->id.seq});
@@ -863,23 +861,20 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
   // concurrent intervals write disjoint words, so ties are safe).
   std::lock_guard<std::mutex> g(mu_);
   // Stage the stash-satisfied seqs exactly like fetched ones: one entry
-  // per pending interval (the apply loop checks that count), with the
-  // blob applied once per stash entry via the shared-blob flag. The
-  // stash's shared_ptr keeps each blob alive past the erase below.
-  std::vector<std::shared_ptr<std::vector<std::byte>>> stash_live;
-  stash_live.reserve(stash_hits.size());
-  {
-    std::uint64_t prev_key = ~std::uint64_t{0};
-    for (const StashHit& sh : stash_hits) {
-      const auto it = push_stash_.find(sh.key);
-      COMMON_CHECK(it != push_stash_.end());
-      const bool dup = sh.key == prev_key;
-      if (!dup) stash_live.push_back(it->second.blob);
-      fetch_staged_.push_back(FetchedDiff{
-          sh.page, sh.interval, std::span<const std::byte>(*it->second.blob),
-          dup});
-      prev_key = sh.key;
-    }
+  // per pending interval (the apply loop checks that count). A page's
+  // hits are consecutive and a key names one page, so the first hit of
+  // each key among its page's hits carries the blob and the later ones
+  // share it. The entries stay stashed, keeping the blobs alive, until
+  // the apply is done.
+  for (std::size_t h = 0; h < stash_hits.size(); ++h) {
+    const StashHit& sh = stash_hits[h];
+    bool shared = false;
+    for (std::size_t e = h; e > 0 && stash_hits[e - 1].page == sh.page; --e)
+      shared = shared || stash_hits[e - 1].key == sh.key;
+    const auto it = push_stash_.find(sh.key);
+    COMMON_CHECK(it != push_stash_.end());
+    fetch_staged_.push_back(
+        FetchedDiff{sh.page, sh.interval, *it->second.blob, shared});
   }
   std::sort(fetch_staged_.begin(), fetch_staged_.end(),
             [](const FetchedDiff& a, const FetchedDiff& b) {
@@ -912,15 +907,16 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
     if (!px.unflushed.empty()) ep_.clock().add_model(flush_page_diff(page));
     for (std::size_t k = i; k < j; ++k) {
       const FetchedDiff& fd = fetch_staged_[k];
-      // Entries sharing one flush blob are applied (and charged) once.
-      if (fd.same_as_prev) continue;
+      // A blob several entries share is applied (and charged) once, at
+      // the entry that carries it: its creator's earliest pending
+      // interval, pulled or pushed.
+      if (fd.shared_blob) continue;
       ep_.clock().add_model(
           ep_.clock().model().diff_apply_cost(fd.blob.size()));
       apply_diff(fd.blob, page_ptr(page));
       // A twin left after the flush belongs to the open interval: the
       // diff goes to both copies, so the next flush exports our words
-      // only. (Only here and in collect_pushes does a zero twin become
-      // a copy.)
+      // only. (Only here does a zero twin become a copy.)
       if (px.has_twin()) apply_diff(fd.blob, px.writable_twin());
     }
     px.pending.clear();
@@ -1185,11 +1181,23 @@ void Runtime::barrier() {
       // Validation pass: find every page still carrying pending write
       // notices; force-applying them below makes the snapshot taken
       // after this block safe — nothing pending can reference a record
-      // at or below it when the NEXT round reclaims.
-      for (std::size_t p = 0; p < num_pages_; ++p)
-        if (const PageExt* px = ext_if(static_cast<PageIndex>(p));
-            px != nullptr && !px->pending.empty())
-          stale.push_back(static_cast<PageIndex>(p));
+      // at or below it when the NEXT round reclaims. The previous
+      // round's pass emptied every pending list before its snapshot, so
+      // only the pages of remote records above the snapshot can be
+      // pending.
+      for (int p = 0; p < nprocs_; ++p) {
+        if (p == rank_) continue;
+        const auto& known = intervals_[static_cast<std::size_t>(p)];
+        const Seq validated = std::max(
+            gc_ready_horizon_.get(static_cast<ProcId>(p)), known.base);
+        for (Seq s = validated + 1; s <= known.hi(); ++s)
+          for (PageIndex page : known.at(s)->pages)
+            if (const PageExt* px = ext_if(page);
+                px != nullptr && !px->pending.empty())
+              stale.push_back(page);
+      }
+      std::sort(stale.begin(), stale.end());
+      stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
     }
     if (!stale.empty()) fetch_and_apply(stale, /*learn=*/false);
     {
@@ -1430,11 +1438,11 @@ void Runtime::send_pushes() {
       const auto newest = diffs_.find(diff_key(e.page, e.hi));
       COMMON_CHECK_MSG(newest != diffs_.end(),
                        "no diff for planned push of page " << e.page);
-      // A receiver applies the pushed blob at hi's place. That is right
-      // only if the blob is the span's one flush blob: a page flushed
-      // mid-span (a reader pulled between barriers) has an older blob
-      // that must apply at its own, earlier place, so the page is left
-      // to the pull path.
+      // A receiver takes the pushed blob for every seq of the span.
+      // That is right only if the blob is the span's one flush blob: a
+      // page flushed mid-span (a reader pulled between barriers) has an
+      // older blob, with words the newest lacks, that must apply at its
+      // own, earlier place, so the page is left to the pull path.
       bool one_blob = true;
       for (Seq s = e.lo + 1; s < e.hi && one_blob; ++s) {
         const auto it = diffs_.find(diff_key(e.page, s));
@@ -1490,121 +1498,51 @@ void Runtime::collect_pushes() {
   const auto this_barrier = [tag](const mpl::Frame& f) {
     return f.kind == mpl::FrameKind::kDiffPush && f.tag == tag;
   };
-  struct PushRec {
-    PageIndex page;
-    ProcId creator;
-    Seq lo;
-    Seq hi;
-    std::span<const std::byte> blob;
-    std::uint64_t order_weight;
-  };
-  std::vector<PushRec> recs;
-  std::vector<mpl::Frame> frames;
+  std::vector<PageIndex> pushed;
   while (std::optional<mpl::Frame> f = ep_.poll_app(this_barrier)) {
+    const auto creator = static_cast<ProcId>(f->src);
     ByteReader r(f->payload);
     const auto n = r.get<std::uint16_t>();
+    std::lock_guard<std::mutex> g(mu_);
     for (std::uint32_t k = 0; k < n; ++k) {
-      PushRec rec{};
-      rec.page = r.get<PageIndex>();
-      rec.creator = static_cast<ProcId>(f->src);
-      rec.hi = r.get<Seq>();
+      const auto page = r.get<PageIndex>();
+      const auto hi = r.get<Seq>();
       const auto span = r.get<std::uint8_t>();
-      rec.lo = (span == 0xff) ? r.get<Seq>() : rec.hi - span;
-      const auto len = r.get<std::uint16_t>();
-      rec.blob = r.get_bytes(len);
-      recs.push_back(rec);
+      const Seq lo = (span == 0xff) ? r.get<Seq>() : hi - span;
+      const auto blob = r.get_bytes(r.get<std::uint16_t>());
+      // The pusher's arrival carried its intervals through hi, and this
+      // barrier's depart delivered them here.
+      COMMON_CHECK_MSG(hi <= intervals_[creator].hi(),
+                       "push of page " << page << " from rank " << creator
+                                       << " outran its write notices");
+      // A newer push for the same key retires an unconsumed older one
+      // as waste.
+      PushStash& slot = push_stash_[stash_key(page, creator)];
+      if (slot.blob != nullptr) ++ctrs_[Ctr::kPushWaste];
+      slot = PushStash{lo, hi,
+                       std::make_shared<std::vector<std::byte>>(blob.begin(),
+                                                                blob.end())};
+      pushed.push_back(page);
     }
-    frames.push_back(std::move(*f));  // keep the blob spans alive
+    ep_.recycle_buffer(std::move(f->payload));
   }
-  if (frames.empty()) return;
-
-  std::lock_guard<std::mutex> g(mu_);
-  // Same linear extension of happens-before as the pull path: per page,
-  // by the vc weight of the newest covered interval (concurrent
-  // intervals write disjoint words, so ties are safe).
-  for (PushRec& rec : recs) {
-    const auto& known = intervals_[rec.creator];
-    rec.order_weight = (rec.hi > known.base && rec.hi <= known.hi())
-                           ? known.at(rec.hi)->vc_weight
-                           : 0;
+  // A page whose every pending notice the stash covers lands now, with
+  // no round trip; one with any other pending notice waits for its
+  // fault, which pulls only what the stash lacks.
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    std::sort(pushed.begin(), pushed.end());
+    pushed.erase(std::unique(pushed.begin(), pushed.end()), pushed.end());
+    std::erase_if(pushed, [this](PageIndex page) {
+      const PageExt* px = ext_if(page);
+      return px == nullptr || px->pending.empty() ||
+             !std::all_of(px->pending.begin(), px->pending.end(),
+                          [&](const IntervalMeta* m) {
+                            return stash_covers(page, *m);
+                          });
+    });
   }
-  std::sort(recs.begin(), recs.end(),
-            [](const PushRec& a, const PushRec& b) {
-              if (a.page != b.page) return a.page < b.page;
-              if (a.order_weight != b.order_weight)
-                return a.order_weight < b.order_weight;
-              return a.creator < b.creator;
-            });
-  std::size_t i = 0;
-  while (i < recs.size()) {
-    const PageIndex page = recs[i].page;
-    std::size_t j = i;
-    while (j < recs.size() && recs[j].page == page) ++j;
-    // Fully-covered-or-discard: applying a SUBSET of a page's pending
-    // notices could order wrongly against a later pull (the pull would
-    // re-apply an older creator's diff over newer pushed words). Only
-    // when this round's pushes cover the page's entire pending set is
-    // applying them equivalent to the pull path; anything less is
-    // discarded wholesale and the fault path pulls as if nothing had
-    // been pushed.
-    const PageExt* pxv = ext_if(page);
-    bool ok = pxv != nullptr && !pxv->pending.empty();
-    for (std::size_t k = i; ok && k < j; ++k)
-      if (recs[k].hi > intervals_[recs[k].creator].hi())
-        ok = false;  // push outran our write-notice knowledge
-    if (ok) {
-      for (const IntervalMeta* pend : pxv->pending) {
-        bool covered = false;
-        for (std::size_t k = i; k < j && !covered; ++k)
-          covered = recs[k].creator == pend->id.creator &&
-                    pend->id.seq > recs[k].lo && pend->id.seq <= recs[k].hi;
-        if (!covered) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (!ok) {
-      // Partial coverage (an unpredicted writer shares the page, or no
-      // pending at all). Don't throw the bytes away: stash each blob
-      // per (page, creator) and let the fault path consume it in place
-      // of that creator's network round trip, in the same vc-weight
-      // order a pull would have used. A newer push for the same key
-      // retires an unconsumed older one as waste.
-      for (std::size_t k = i; k < j; ++k) {
-        PushStash& slot = push_stash_[stash_key(page, recs[k].creator)];
-        if (slot.blob != nullptr) ++ctrs_[Ctr::kPushWaste];
-        slot.lo = recs[k].lo;
-        slot.hi = recs[k].hi;
-        slot.blob = std::make_shared<std::vector<std::byte>>(
-            recs[k].blob.begin(), recs[k].blob.end());
-      }
-      i = j;
-      continue;
-    }
-    PageMeta& pm = pages_[page];
-    PageExt& px = ext(page);
-    const bool dirty = pm.dirty;
-    // Own writes are diffed before remote ones land, as in the pull path.
-    if (!px.unflushed.empty()) ep_.clock().add_model(flush_page_diff(page));
-    mprotect_page(page, PROT_READ | PROT_WRITE);
-    for (std::size_t k = i; k < j; ++k) {
-      ep_.clock().add_model(
-          ep_.clock().model().diff_apply_cost(recs[k].blob.size()));
-      apply_diff(recs[k].blob, page_ptr(page));
-      if (px.has_twin()) apply_diff(recs[k].blob, px.writable_twin());
-    }
-    ctrs_[Ctr::kPushHits] += j - i;
-    px.pending.clear();
-    if (dirty) {
-      pm.state = PageState::kReadWrite;
-    } else {
-      mprotect_page(page, PROT_READ);
-      pm.state = PageState::kReadOnly;
-    }
-    i = j;
-  }
-  for (mpl::Frame& f : frames) ep_.recycle_buffer(std::move(f.payload));
+  if (!pushed.empty()) fetch_and_apply(pushed);
 }
 
 // ---------------------------------------------------------------------

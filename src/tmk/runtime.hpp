@@ -423,15 +423,20 @@ class Runtime {
   // mu_).
   void send_pushes();
   // After the depart: takes every kDiffPush frame of this barrier
-  // without blocking, then applies every fully-covered page (sorted by
-  // vc weight, after flushing our own unflushed intervals of it) and
-  // stashes the rest for the fault path.
+  // without blocking and stashes each pushed blob per (page, creator).
+  // It applies nothing itself: the pages whose every pending notice the
+  // stash covers go to fetch_and_apply, which lands them with no round
+  // trip; the rest wait for their fault.
   void collect_pushes();
 
   // Pulls and applies every pending diff of `pages`, per page in vc-weight
-  // order, after flushing the page's own unflushed intervals. A reply
-  // whose blob covers seqs this rank has not integrated yet raises the
-  // page's applied-ahead mark for that creator.
+  // order, after flushing the page's own unflushed intervals. A pending
+  // notice a stashed push covers takes the stashed blob instead of a
+  // pull, so this is the one place a pushed blob lands. A blob covering
+  // several of a page's pending intervals, pulled or pushed, is applied
+  // once, at the earliest. A reply whose blob covers seqs this rank has
+  // not integrated yet raises the page's applied-ahead mark for that
+  // creator.
   // `learn=false` marks the requests as epoch-GC validation traffic
   // (kDiffRequest tag 1): the server answers identically but does NOT
   // feed its adaptive push predictor — a forced fetch proves nothing
@@ -440,12 +445,12 @@ class Runtime {
   void fetch_and_apply(std::span<const PageIndex> pages, bool learn = true);
 
   // Page protection (main thread, under mu_). Interval close, notice
-  // integration and fetch_and_apply update page state as they go,
-  // collect the pages in prot_pages_, and change their protection with
-  // mprotect_runs before they release mu_. The fault path, the
-  // race-check scan and the push paths (collect_pushes, accept_push)
-  // change one page at a time. Every mprotect on the heap counts in
-  // the host_mprotect_calls cell.
+  // integration and fetch_and_apply (so also the pushed pages it lands
+  // at a barrier) update page state as they go, collect the pages in
+  // prot_pages_, and change their protection with mprotect_runs before
+  // they release mu_. The fault path, the race-check scan and
+  // accept_push change one page at a time. Every mprotect on the heap
+  // counts in the host_mprotect_calls cell.
   void mprotect_range(PageIndex first, std::size_t npages, int prot);
   void mprotect_page(PageIndex page, int prot) {
     mprotect_range(page, 1, prot);
@@ -586,7 +591,9 @@ class Runtime {
     // View into a reply frame's payload (kept alive in fetch_replies_
     // until applied): fetched diffs are staged without copying.
     std::span<const std::byte> blob;
-    bool same_as_prev;  // shares the previous entry's flush blob
+    // Another entry of this page carries the same blob: a flush blob
+    // covering several pending intervals is applied once.
+    bool shared_blob;
   };
   struct FetchOutstanding {
     ProcId creator;
@@ -686,13 +693,15 @@ class Runtime {
   // Pages with own intervals not yet offered to consumers (appended by
   // close_interval, drained by build_push_plan).
   std::vector<PageIndex> push_candidates_;
-  // Receiver-side stash of pushed diffs that could NOT be applied at the
-  // barrier (the page had pending write notices the round's pushes did
-  // not fully cover — false sharing with an unpredicted writer). The
-  // fault path consumes them in place of a network fetch: the blob
+  // Receiver-side stash: every pushed diff lands here first. The blob
   // covers the creator's seqs in (lo, hi], exactly like a pulled flush
-  // blob, and is applied in the same vc-weight order. Keyed by
-  // (page << 7) | creator; guarded by mu_ (main thread only).
+  // blob, and fetch_and_apply takes it in place of a network fetch of
+  // those seqs, at the barrier for a page the stash covers whole and
+  // at the fault otherwise (a page with pending notices from an
+  // unpredicted writer: false sharing). An entry leaves as a hit when
+  // consumed, and as waste when replaced, reclaimed by epoch GC or
+  // left at shutdown. Keyed by (page << 7) | creator; guarded by mu_
+  // (main thread only).
   struct PushStash {
     Seq lo = 0;
     Seq hi = 0;
@@ -709,6 +718,14 @@ class Runtime {
     return static_cast<ProcId>(key & ((1u << kStashCreatorBits) - 1));
   }
   std::unordered_map<std::uint64_t, PushStash> push_stash_;
+  // True when a stashed push covers notice `m` of `page` (caller holds
+  // mu_).
+  [[nodiscard]] bool stash_covers(PageIndex page,
+                                  const IntervalMeta& m) const {
+    const auto it = push_stash_.find(stash_key(page, m.id.creator));
+    return it != push_stash_.end() && m.id.seq > it->second.lo &&
+           m.id.seq <= it->second.hi;
+  }
 
   // Manager only, indexed by rank: what each worker is known to hold,
   // set by its arrival and merged with the manager's clock at each

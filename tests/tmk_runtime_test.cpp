@@ -593,6 +593,35 @@ TEST(TmkRuntime, ProtectionChangesCostOneCallPerRun) {
   EXPECT_LE(reader[Id::kHostMprotectCalls], 2 * reader[Id::kPageFaults] + 8);
 }
 
+// Hybrid pushes land through the fetch path, so their protection changes
+// in runs too: the consumer of 32 pushed contiguous pages takes no fault
+// and makes four calls in all (heap set-up, the depart's invalidation,
+// and one read-write and one read-only run for the landing), where one
+// pair per page would make 66.
+TEST(TmkRuntime, HybridPushesLandInProtectionRuns) {
+  constexpr int kPages = 32;
+  auto r = runner::spawn(
+      2, mode_options(tmk::UpdateMode::kHybrid), [](runner::ChildContext& c) {
+        tmk::Runtime rt(c);
+        auto* data = rt.alloc<std::int32_t>(kPages * kIntsPerPage);
+        if (rt.rank() == 0) {
+          rt.hint_consumers(data, kPages * common::kPageSize, 1);
+          for (int p = 0; p < kPages; ++p) data[p * kIntsPerPage] = p + 1;
+        }
+        rt.barrier();
+        double sum = 0;
+        if (rt.rank() == 1)
+          for (int p = 0; p < kPages; ++p) sum += data[p * kIntsPerPage];
+        return sum;
+      });
+  ASSERT_EQ(r.procs.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.procs[1].checksum, kPages * (kPages + 1) / 2.0);
+  const runner::ctr::Block& reader = r.procs[1].ctrs;
+  EXPECT_EQ(reader[Id::kPageFaults], 0u);
+  EXPECT_EQ(reader[Id::kPushHits], std::uint64_t{kPages});
+  EXPECT_LE(reader[Id::kHostMprotectCalls], 8u);
+}
+
 // A dirty page that a lock grant invalidates must stay PROT_NONE when
 // its interval closes, although the dirty pages around it go back to
 // PROT_READ in the same close: re-reading all eight pages then takes
