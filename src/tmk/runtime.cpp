@@ -835,16 +835,14 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
       const auto covered = r.get<Seq>();
       const auto len = r.get<std::uint32_t>();
       std::span<const std::byte> bytes;
-      const bool shared_blob = (len == kSameAsPrevious);
-      if (shared_blob) {
+      if (len == kSameAsPrevious) {
         bytes = prev_bytes;  // one flush covered several intervals
       } else {
         bytes = r.get_bytes(len);
         prev_bytes = bytes;
       }
       COMMON_CHECK(seq > known.base && seq <= known.hi());
-      fetch_staged_.push_back(
-          FetchedDiff{page, known.at(seq), bytes, shared_blob});
+      fetch_staged_.push_back(FetchedDiff{page, known.at(seq), bytes});
       ++ctrs_[Ctr::kDiffsFetched];
       if (page != cur_page) {
         finish_page();
@@ -861,20 +859,14 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
   // concurrent intervals write disjoint words, so ties are safe).
   std::lock_guard<std::mutex> g(mu_);
   // Stage the stash-satisfied seqs exactly like fetched ones: one entry
-  // per pending interval (the apply loop checks that count). A page's
-  // hits are consecutive and a key names one page, so the first hit of
-  // each key among its page's hits carries the blob and the later ones
-  // share it. The entries stay stashed, keeping the blobs alive, until
-  // the apply is done.
-  for (std::size_t h = 0; h < stash_hits.size(); ++h) {
-    const StashHit& sh = stash_hits[h];
-    bool shared = false;
-    for (std::size_t e = h; e > 0 && stash_hits[e - 1].page == sh.page; --e)
-      shared = shared || stash_hits[e - 1].key == sh.key;
+  // per pending interval (the apply loop checks that count). The
+  // entries stay stashed, keeping the blobs alive, until the apply is
+  // done.
+  for (const StashHit& sh : stash_hits) {
     const auto it = push_stash_.find(sh.key);
     COMMON_CHECK(it != push_stash_.end());
     fetch_staged_.push_back(
-        FetchedDiff{sh.page, sh.interval, *it->second.blob, shared});
+        FetchedDiff{sh.page, sh.interval, *it->second.blob});
   }
   std::sort(fetch_staged_.begin(), fetch_staged_.end(),
             [](const FetchedDiff& a, const FetchedDiff& b) {
@@ -908,9 +900,17 @@ void Runtime::fetch_and_apply(std::span<const PageIndex> fault_pages,
     for (std::size_t k = i; k < j; ++k) {
       const FetchedDiff& fd = fetch_staged_[k];
       // A blob several entries share is applied (and charged) once, at
-      // the entry that carries it: its creator's earliest pending
-      // interval, pulled or pushed.
-      if (fd.shared_blob) continue;
+      // its creator's earliest pending interval, pulled or pushed. The
+      // creator check keeps apart two empty stashed blobs, whose bytes
+      // may both be null.
+      const bool seen = std::any_of(
+          fetch_staged_.begin() + static_cast<std::ptrdiff_t>(i),
+          fetch_staged_.begin() + static_cast<std::ptrdiff_t>(k),
+          [&fd](const FetchedDiff& e) {
+            return e.blob.data() == fd.blob.data() &&
+                   e.interval->id.creator == fd.interval->id.creator;
+          });
+      if (seen) continue;
       ep_.clock().add_model(
           ep_.clock().model().diff_apply_cost(fd.blob.size()));
       apply_diff(fd.blob, page_ptr(page));
@@ -1181,23 +1181,11 @@ void Runtime::barrier() {
       // Validation pass: find every page still carrying pending write
       // notices; force-applying them below makes the snapshot taken
       // after this block safe — nothing pending can reference a record
-      // at or below it when the NEXT round reclaims. The previous
-      // round's pass emptied every pending list before its snapshot, so
-      // only the pages of remote records above the snapshot can be
-      // pending.
-      for (int p = 0; p < nprocs_; ++p) {
-        if (p == rank_) continue;
-        const auto& known = intervals_[static_cast<std::size_t>(p)];
-        const Seq validated = std::max(
-            gc_ready_horizon_.get(static_cast<ProcId>(p)), known.base);
-        for (Seq s = validated + 1; s <= known.hi(); ++s)
-          for (PageIndex page : known.at(s)->pages)
-            if (const PageExt* px = ext_if(page);
-                px != nullptr && !px->pending.empty())
-              stale.push_back(page);
-      }
-      std::sort(stale.begin(), stale.end());
-      stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+      // at or below it when the NEXT round reclaims.
+      for (std::size_t p = 0; p < num_pages_; ++p)
+        if (const PageExt* px = ext_if(static_cast<PageIndex>(p));
+            px != nullptr && !px->pending.empty())
+          stale.push_back(static_cast<PageIndex>(p));
     }
     if (!stale.empty()) fetch_and_apply(stale, /*learn=*/false);
     {

@@ -589,11 +589,9 @@ class Runtime {
     PageIndex page;
     const IntervalMeta* interval;
     // View into a reply frame's payload (kept alive in fetch_replies_
-    // until applied): fetched diffs are staged without copying.
+    // until applied) or into a stashed push: diffs are staged without
+    // copying, so the entries that share a flush blob share its bytes.
     std::span<const std::byte> blob;
-    // Another entry of this page carries the same blob: a flush blob
-    // covering several pending intervals is applied once.
-    bool shared_blob;
   };
   struct FetchOutstanding {
     ProcId creator;

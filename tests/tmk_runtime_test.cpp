@@ -1022,6 +1022,64 @@ TEST(TmkRuntime, HybridPushSpanningTwoFlushBlobsIsPulledInstead) {
   EXPECT_DOUBLE_EQ(r.procs[2].checksum, 2 + 100.0 * 3);
 }
 
+// A stashed blob that covers two pending intervals of a page lands once,
+// also when another creator's interval sits between them. Ranks 1 and 2
+// push page P to rank 0; rank 3 writes P unpredicted, so P stays pending
+// past the barrier and lands at rank 0's fault. Rank 2 writes P[1] and
+// hands lock 1 to rank 1, which writes P[0] and hands lock 2 to rank 0:
+// that grant leaves [rank 1's interval, rank 2's] pending, and the
+// barrier adds rank 1's later write of P[2], which shares the first one's
+// blob, then rank 3's P[3]. Rank 3 first closes an interval on page Q, so
+// its P interval also sorts between rank 1's two in the apply order.
+// With only diff applies charged, rank 0's read costs three: rank 1's
+// blob, rank 2's, and rank 3's pulled one.
+TEST(TmkRuntime, HybridStashedBlobLandsOnceAcrossAnotherCreator) {
+  constexpr std::uint64_t kApplyNs = 1'000'000;
+  runner::SpawnOptions o = mode_options(tmk::UpdateMode::kHybrid);
+  o.model.cpu_scale = 0.0;
+  o.model.diff_apply_ns = kApplyNs;
+  o.tmk_config->epoch_gc = false;  // a GC round would land P at the barrier
+  auto r = runner::spawn(4, o, [](runner::ChildContext& c) {
+    tmk::Runtime rt(c);
+    auto* p = rt.alloc<std::int32_t>(kIntsPerPage);
+    auto* q = rt.alloc<std::int32_t>(kIntsPerPage);
+    if (rt.rank() == 1 || rt.rank() == 2)
+      rt.hint_consumers(p, common::kPageSize, 0);
+    if (rt.rank() == 1) rt.lock_acquire(2);
+    if (rt.rank() == 2) rt.lock_acquire(1);
+    rt.barrier();
+    if (rt.rank() == 0) {
+      rt.lock_acquire(2);
+      rt.lock_release(2);
+    } else if (rt.rank() == 1) {
+      rt.lock_acquire(1);
+      p[0] = 1;
+      rt.lock_release(1);
+      rt.lock_release(2);
+      p[2] = 3;
+    } else if (rt.rank() == 2) {
+      p[1] = 2;
+      rt.lock_release(1);
+    } else {
+      rt.lock_acquire(3);
+      q[0] = 5;
+      rt.lock_release(3);
+      p[3] = 4;
+    }
+    rt.barrier();
+    if (rt.rank() != 0) return 0.0;
+    simx::VirtualClock& clock = c.endpoint.clock();
+    const std::uint64_t before = clock.now();
+    asm volatile("" ::: "memory");
+    const bool ok = p[0] == 1 && p[1] == 2 && p[2] == 3 && p[3] == 4;
+    asm volatile("" ::: "memory");
+    const std::uint64_t after = clock.now();
+    return ok ? static_cast<double>(after - before) / kApplyNs : -1.0;
+  });
+  EXPECT_DOUBLE_EQ(r.procs[0].checksum, 3.0);
+  EXPECT_EQ(r.procs[0].ctrs[Id::kPushHits], 2u);
+}
+
 // Seeded word-ownership churn: both rules above matter only when a
 // word's writer changes between epochs on a falsely shared page. Every
 // epoch, a PRNG seeded alike on every rank gives about a quarter of the
